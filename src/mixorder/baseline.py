@@ -7,8 +7,8 @@ Two concrete families are built in, both supported on (0, inf):
 
 The abstract surface is deliberately small; mixture and tilt transforms only
 ever touch ``survival`` / ``log_survival`` / ``density`` / ``hazard`` /
-``inverse_survival``, so further baselines can be registered without touching
-dependent modules.
+``inverse_survival`` / ``tail_index``, so further baselines can be registered
+without touching dependent modules.
 """
 
 from __future__ import annotations
@@ -63,6 +63,11 @@ class BaselineDistribution(ABC):
     @abstractmethod
     def inverse_survival(self, u): ...
 
+    @property
+    @abstractmethod
+    def tail_index(self) -> float:
+        """Decay exponent k with survival ~ x**-k as x -> inf; inf for lighter tails."""
+
     def evaluate(self, x) -> dict:
         """Survival, density and hazard at x in one call."""
         return {"survival": self.survival(x), "density": self.density(x), "hazard": self.hazard(x)}
@@ -77,6 +82,7 @@ class Exponential(BaselineDistribution):
     rate: float
 
     kind = "exponential"
+    tail_index = float("inf")
 
     def __post_init__(self):
         if not (self.rate > 0 and np.isfinite(self.rate)):
@@ -138,6 +144,10 @@ class PowerBurr(BaselineDistribution):
     def inverse_survival(self, u):
         arr = _as_survival_level(u)
         return (arr ** (-1.0 / self.shape_b) - 1.0) ** (1.0 / self.shape_a)
+
+    @property
+    def tail_index(self) -> float:
+        return self.shape_a * self.shape_b
 
     def params(self) -> dict[str, float]:
         return {"a": self.shape_a, "b": self.shape_b}

@@ -31,7 +31,10 @@ class NumericalError(MixOrderError, ArithmeticError):
 
 
 class TailError(MixOrderError):
-    """Quantile bracketing exceeded the heavy-tail guard threshold."""
+    """A quantile level lies past ``cdf(1e18)``, beyond the heavy-tail guard.
+
+    Raised before any inversion work; the message names the first such level.
+    """
 
 
 class InfiniteMeanSuspected(MixOrderError):

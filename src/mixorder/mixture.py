@@ -31,9 +31,12 @@ __all__ = [
 ]
 
 _WEIGHT_TOL = 1e-12
-_QUANTILE_U_TOL = 1e-11
+# quantile bisection bracket in log x: e^-745 is the smallest subnormal, and
+# levels past cdf(1e18) are a heavy tail the solver does not follow
+_QUANTILE_LOG_X_MIN = -745.0
+_QUANTILE_X_MAX = 1e18
+_QUANTILE_LOG_RTOL = 1e-15
 _QUANTILE_MAX_ITER = 200
-_BRACKET_LIMIT = 1e18
 
 CURVE_KINDS = ("survival", "hazard", "density", "cdf")
 
@@ -151,33 +154,41 @@ class MixtureModel:
 
     # -- quantiles and sampling -------------------------------------------
 
-    def quantile(self, u: float) -> float:
-        """Invert the cdf by bracket doubling from x=1 followed by bisection.
+    def quantile(self, u):
+        """Invert the cdf at a scalar level or an array of levels in (0, 1).
 
-        Accurate to ``1e-11`` in probability space; raises ``TailError`` when
-        no bracket is found below x = 1e18.
+        All levels are solved together by one vectorized bisection in ``log x``
+        over ``(e^-745, 1e18]`` on this model's own ``cdf``, stopping when the
+        bracket's width is below ``1e-15 * max(1, |log x|)``.  A scalar (or
+        0-d) level returns a ``float``; an array returns an array of the same
+        shape.  Raises ``DomainError`` for levels outside (0, 1) or NaN, and
+        ``TailError``, before any bisection, when a level exceeds
+        ``cdf(1e18)``.
         """
-        u = float(u)
-        if not (0.0 < u < 1.0):
-            raise DomainError(f"quantile level must lie in (0, 1), got {u!r}")
-        lo, hi = 0.0, 1.0
-        while float(self.cdf(hi)) < u:
-            lo = hi
-            hi *= 2.0
-            if hi > _BRACKET_LIMIT:
-                raise TailError(
-                    f"no quantile bracket below {_BRACKET_LIMIT:g} for level {u!r}"
-                )
+        levels = np.asarray(u, dtype=float)
+        bad = ~((levels > 0.0) & (levels < 1.0))
+        if np.any(bad):
+            raise DomainError(
+                f"quantile level must lie in (0, 1), got {float(levels[bad][0])!r}"
+            )
+        u_max = float(self.cdf(_QUANTILE_X_MAX))
+        past = levels > u_max
+        if np.any(past):
+            raise TailError(
+                f"quantile level {float(levels[past][0])!r} lies past "
+                f"cdf({_QUANTILE_X_MAX:g}) = {u_max!r}"
+            )
+        lo = np.full(levels.shape, _QUANTILE_LOG_X_MIN)
+        hi = np.full(levels.shape, np.log(_QUANTILE_X_MAX))
         for _ in range(_QUANTILE_MAX_ITER):
             mid = 0.5 * (lo + hi)
-            err = float(self.cdf(mid)) - u
-            if err < 0:
-                lo = mid
-            else:
-                hi = mid
-            if abs(err) <= _QUANTILE_U_TOL and (hi - lo) <= 1e-12 * max(1.0, mid):
+            below = self.cdf(np.exp(mid)) < levels
+            lo = np.where(below, mid, lo)
+            hi = np.where(below, hi, mid)
+            if np.all(hi - lo <= _QUANTILE_LOG_RTOL * np.maximum(1.0, np.abs(mid))):
                 break
-        return 0.5 * (lo + hi)
+        x = np.exp(0.5 * (lo + hi))
+        return float(x) if levels.ndim == 0 else x
 
     def sample(self, n: int, seed: int) -> np.ndarray:
         """Inverse-transform sampling: pick a component, invert its survival."""

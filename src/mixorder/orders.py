@@ -231,8 +231,8 @@ def check_star(
         )
     x = t / (1.0 - t)
     try:
-        s_12 = np.array([m2.quantile(u) for u in u1[keep]])
-        s_21 = np.array([m1.quantile(u) for u in u2[keep]])
+        s_12 = m2.quantile(u1[keep])
+        s_21 = m1.quantile(u2[keep])
     except TailError as exc:
         return OrderVerdict(
             holds_leq=False, holds_geq=False,
@@ -273,17 +273,28 @@ def default_lorenz_grid(points: int = 1601, tail_points: int = 400) -> np.ndarra
 def lorenz_curve(m: MixtureModel, u_grid: np.ndarray | None = None) -> LorenzCurve:
     """Trapezoid quadrature of the quantile function over u in [1e-6, 1-1e-6].
 
-    Raises ``InfiniteMeanSuspected`` when the top 1% of the u-range carries
-    more than half of the integral while the top quantile exceeds 1e9, or when
-    the quantile inversion itself explodes past the tail guard.
+    All levels are inverted by one array call to ``m.quantile``.  Raises
+    ``InfiniteMeanSuspected``:
+
+    * before any inversion, when ``baseline.tail_index * min(lams) <= 1``:
+      the mixture survival decays like ``S**min(lams)``, so the mean is
+      infinite exactly then;
+    * when a level lies past ``cdf(1e18)``, the quantile's ``TailError`` guard;
+    * when the top 1% of the u-range carries more than half of the integral
+      while the top quantile exceeds 1e9.
     """
     u = default_lorenz_grid() if u_grid is None else np.asarray(u_grid, dtype=float)
     if u.ndim != 1 or u.size < 3:
         raise ParameterError("lorenz grid needs at least three probability levels")
     if np.any(u <= 0) or np.any(u >= 1) or np.any(np.diff(u) <= 0):
         raise ParameterError("lorenz grid must be strictly increasing inside (0, 1)")
+    decay = m.baseline.tail_index * min(m.lams)
+    if decay <= 1.0:
+        raise InfiniteMeanSuspected(
+            f"survival decays like x**-{decay:.6g}, so the mean is infinite"
+        )
     try:
-        q = np.array([m.quantile(v) for v in u])
+        q = m.quantile(u)
     except TailError as exc:
         raise InfiniteMeanSuspected(
             f"quantile diverged while integrating the mean: {exc}"

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import stats
 
 from mixorder import (
@@ -10,10 +12,12 @@ from mixorder import (
     Exponential,
     MixtureModel,
     ParameterError,
+    PowerBurr,
     TailError,
     default_grid,
     evaluate_curve,
 )
+from conftest import random_baseline
 
 EXP1 = Exponential(rate=1.0)
 
@@ -126,6 +130,59 @@ class TestQuantile:
         m = MixtureModel.vary_alpha(PowerBurr(0.2, 0.5), 0.1, [(1.0, 1.0)])
         with pytest.raises(TailError):
             m.quantile(0.9999)
+
+
+def random_mixture(rng: np.random.Generator, variant: str) -> MixtureModel:
+    """A 2-5 component mixture over a ``random_baseline``, for property tests."""
+    n = int(rng.integers(2, 6))
+    components = zip(rng.dirichlet(np.ones(n)), rng.uniform(0.3, 3.0, size=n))
+    return getattr(MixtureModel, variant)(random_baseline(rng), rng.uniform(0.3, 3.0), components)
+
+
+class TestArrayQuantile:
+    M = MixtureModel.vary_lambda(Exponential(0.5), 0.3, [(0.5, 0.4), (0.5, 2.0)])
+
+    def test_scalar_and_zero_d_return_float(self):
+        for u in (0.3, np.float64(0.3), np.asarray(0.3)):
+            q = self.M.quantile(u)
+            assert type(q) is float
+
+    @pytest.mark.parametrize("shape", [(7,), (3, 4)])
+    def test_array_keeps_shape(self, shape):
+        u = np.linspace(0.01, 0.99, int(np.prod(shape))).reshape(shape)
+        q = self.M.quantile(u)
+        assert isinstance(q, np.ndarray) and q.shape == shape
+
+    def test_vector_matches_elementwise_scalar(self):
+        u = np.concatenate([np.geomspace(1e-12, 0.5, 40), 1.0 - np.geomspace(0.5, 1e-9, 40)])
+        q = self.M.quantile(u)
+        scalar = np.array([self.M.quantile(float(v)) for v in u])
+        np.testing.assert_allclose(q, scalar, rtol=1e-12, atol=0.0)
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        variant=st.sampled_from(["vary_alpha", "vary_lambda"]),
+        fractions=st.lists(st.floats(1e-9, 1.0), min_size=1, max_size=20),
+    )
+    def test_round_trip_random_mixtures(self, seed, variant, fractions):
+        m = random_mixture(np.random.default_rng(seed), variant)
+        # levels up to cdf(1e18), the largest the solver inverts
+        u = np.minimum(np.asarray(fractions) * float(m.cdf(1e18)), 1.0 - 1e-16)
+        q = m.quantile(u)
+        assert np.max(np.abs(m.cdf(q) - u)) <= 1e-11
+
+    def test_tail_error_names_level_past_guard(self):
+        m = MixtureModel.vary_alpha(PowerBurr(0.2, 0.5), 0.1, [(1.0, 1.0)])
+        u_max = float(m.cdf(1e18))
+        with pytest.raises(TailError, match=repr(0.9999)):
+            m.quantile(np.array([0.5 * u_max, 0.9999, 0.99999]))
+        assert m.quantile(np.array([0.5 * u_max, u_max]))[-1] <= 1e18
+
+    @pytest.mark.parametrize("bad", [0.0, 1.0, float("nan")])
+    def test_domain_error_in_arrays(self, bad):
+        with pytest.raises(DomainError):
+            self.M.quantile(np.array([0.2, bad, 0.7]))
 
 
 class TestSample:

@@ -1,11 +1,14 @@
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from mixorder import (
     Exponential,
     InfiniteMeanSuspected,
     MixtureModel,
     ParameterError,
+    PowerBurr,
     check_hr,
     check_lorenz,
     check_st,
@@ -178,6 +181,32 @@ class TestLorenz:
         m = MixtureModel.vary_alpha(burr, 0.1, [(0.9, 8.0), (0.1, 2.0)])
         with pytest.raises(InfiniteMeanSuspected):
             lorenz_curve(m)
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        a=st.floats(0.05, 3.0),
+        b=st.floats(0.05, 3.0),
+        lams=st.lists(st.floats(0.01, 3.0), min_size=2, max_size=5),
+        alphas=st.lists(st.floats(0.1, 5.0), min_size=2, max_size=5),
+        variant=st.sampled_from(["vary_alpha", "vary_lambda"]),
+    )
+    def test_tail_index_at_most_one_is_infinite_mean(self, a, b, lams, alphas, variant):
+        # survival ~ x**-(a*b*min(lam)): the mean is infinite when that index is <= 1
+        assume(a * b * min(lams) <= 1.0)
+        d = PowerBurr(a, b)
+        if variant == "vary_lambda":
+            m = MixtureModel.vary_lambda(d, alphas[0], [(1.0 / len(lams), l) for l in lams])
+        else:
+            m = MixtureModel.vary_alpha(d, min(lams), [(1.0 / len(alphas), t) for t in alphas])
+        with pytest.raises(InfiniteMeanSuspected):
+            lorenz_curve(m)
+
+    def test_finite_tail_index_integrates(self):
+        # tail index 2*2*0.5 = 2 > 1: finite mean, the curve is computed
+        m = MixtureModel.vary_lambda(PowerBurr(2.0, 2.0), 0.7, [(0.4, 0.5), (0.6, 1.5)])
+        curve = lorenz_curve(m)
+        assert curve.l_values[-1] == pytest.approx(1.0, abs=1e-12)
+        assert np.all(np.diff(curve.l_values) >= 0)
 
     def test_two_group_exponential_baseline_direction(self):
         # with an exponential baseline the wider-tilt mixture has the *higher*
