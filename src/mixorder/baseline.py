@@ -25,14 +25,14 @@ __all__ = ["BaselineDistribution", "Exponential", "PowerBurr", "make_baseline"]
 
 def _as_nonneg_array(x) -> np.ndarray:
     arr = np.asarray(x, dtype=float)
-    if np.any(arr < 0) or np.any(np.isnan(arr)):
+    if not np.all(arr >= 0):  # also rejects NaN
         raise DomainError(f"evaluation point must be >= 0, got {x!r}")
     return arr
 
 
 def _as_survival_level(u) -> np.ndarray:
     arr = np.asarray(u, dtype=float)
-    if np.any(arr <= 0) or np.any(arr > 1) or np.any(np.isnan(arr)):
+    if not np.all((arr > 0) & (arr <= 1)):  # also rejects NaN
         raise DomainError(f"survival level must lie in (0, 1], got {u!r}")
     return arr
 

@@ -18,6 +18,7 @@ resolution (2001 points) wherever a scenario does not pin one explicitly.
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import math
 import os
@@ -25,7 +26,7 @@ import sys
 import tempfile
 from importlib import resources
 from pathlib import Path
-
+from typing import Iterable, Iterator
 
 from .baseline import make_baseline
 from .errors import (
@@ -57,6 +58,9 @@ EXIT_NUMERIC = 3
 EXIT_INCONCLUSIVE = 4
 
 _GRID_ENV = "MIXORDER_GRID_POINTS"
+
+# rows per formatted block of curve and sample output: small text, few blocks
+_BLOCK_ROWS = 4096
 
 _SCENARIO_KEYS = {
     "baseline", "model_variant", "common_param", "matrix_a",
@@ -262,13 +266,13 @@ def report_to_dict(r: TheoremReport) -> dict:
     }
 
 
-def _atomic_write(path: Path, text: str) -> None:
+def _atomic_write(path: Path, blocks: Iterable[str]) -> None:
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=f".{path.name}.")
     try:
         with os.fdopen(fd, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(text)
+            fh.writelines(blocks)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -279,14 +283,21 @@ def _atomic_write(path: Path, text: str) -> None:
 # -- subcommand handlers -----------------------------------------------------------
 
 
+def _format_rows(columns: list, row_format: str) -> Iterator[str]:
+    """Rows of the equal-length arrays in ``columns``, one %-format per _BLOCK_ROWS rows."""
+    for start in range(0, len(columns[0]), _BLOCK_ROWS):
+        rows = list(zip(*(c[start:start + _BLOCK_ROWS].tolist() for c in columns)))
+        yield (row_format * len(rows)) % tuple(itertools.chain.from_iterable(rows))
+
+
 def _cmd_curve(args) -> int:
     scenario = load_scenario(args.scenario)
     series_a = evaluate_curve(scenario.model_a(), scenario.grid, args.which)
     series_b = evaluate_curve(scenario.model_b(), scenario.grid, args.which)
-    lines = ["t,x,model_a,model_b"]
-    for t, x, va, vb in zip(series_a.t, series_a.x, series_a.values, series_b.values):
-        lines.append(f"{t:.15g},{x:.15g},{va:.15g},{vb:.15g}")
-    _atomic_write(Path(args.out), "\n".join(lines) + "\n")
+    columns = [series_a.t, series_a.x, series_a.values, series_b.values]
+    _atomic_write(Path(args.out), itertools.chain(
+        ["t,x,model_a,model_b\n"], _format_rows(columns, "%.15g,%.15g,%.15g,%.15g\n")
+    ))
     print(f"wrote {len(series_a.t)} rows to {args.out}")
     return EXIT_OK
 
@@ -340,7 +351,7 @@ def _cmd_verify_examples(args) -> int:
         }
         text = json.dumps(doc, indent=2, sort_keys=True)
         if args.out:
-            _atomic_write(Path(args.out), text + "\n")
+            _atomic_write(Path(args.out), [text, "\n"])
             print(f"wrote report to {args.out}")
         else:
             print(text)
@@ -384,7 +395,7 @@ def _cmd_check_order(args) -> int:
 def _cmd_search(args) -> int:
     findings = search_counterexamples(args.theorem_id, args.trials, args.seed)
     text = json.dumps([report_to_dict(r) for r in findings], indent=2, sort_keys=True)
-    _atomic_write(Path(args.out), text + "\n")
+    _atomic_write(Path(args.out), [text, "\n"])
     print(f"{len(findings)} inconsistent report(s) written to {args.out}")
     return EXIT_OK
 
@@ -394,7 +405,7 @@ def _cmd_sample(args) -> int:
         raise ParameterError(f"sample count must be >= 1, got {args.n}")
     scenario = load_scenario(args.scenario)
     draws = scenario.model_a().sample(args.n, args.seed)
-    _atomic_write(Path(args.out), "\n".join(f"{v:.17g}" for v in draws) + "\n")
+    _atomic_write(Path(args.out), _format_rows([draws], "%.17g\n"))
     print(f"wrote {args.n} samples to {args.out}")
     return EXIT_OK
 

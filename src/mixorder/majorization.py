@@ -13,6 +13,7 @@ by the theorem checkers.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -52,7 +53,7 @@ class ParameterMatrix:
         n = len(self.top_row)
         if n < 2 or len(self.bottom_row) != n:
             raise ShapeError("parameter matrix needs two rows of equal length n >= 2")
-        if any(v <= 0 or not np.isfinite(v) for v in self.top_row + self.bottom_row):
+        if any(v <= 0 or not math.isfinite(v) for v in self.top_row + self.bottom_row):
             raise ParameterError("parameter matrix entries must be positive reals")
 
     @property

@@ -1,21 +1,22 @@
 """Finite mixtures of tilt/rate-power transformed baselines.
 
-Two parameterizations are supported:
-
-* ``vary_alpha``  -- components share one rate power ``lam``; weights and
-  tilts differ: F(x) = sum_i p_i * a_i*z / (1 - (1-a_i)*z), z = S**lam.
-* ``vary_lambda`` -- components share one tilt ``alpha``; weights and rate
-  powers differ: F(x) = sum_i p_i * alpha*z_i / (1 - (1-alpha)*z_i),
-  z_i = S**lam_i.
-
-Internally every component is stored as a (weight, alpha, lam) triple so that
-evaluation code is identical for both variants.
+Every evaluation is a function of the baseline log-survival ``log s = log S(x)``:
+component i contributes ``z_i = s**lam_i`` and ``m_i = 1 - (1 - alpha_i) * z_i``;
+survival is ``sum_i p_i alpha_i z_i / m_i`` and density ``r(x) sum_i p_i lam_i
+alpha_i z_i / m_i**2`` with ``r`` the baseline hazard.  One private kernel,
+``MixtureModel._terms``, computes these terms from ``log s`` for the public
+methods, ``orders`` and ``theorems``.  When every component shares one ``lam``
+(every ``vary_alpha`` model) it computes one power instead of n identical ones,
+and the hazard needs no rescaling.  ``vary_alpha`` components differ in weight
+and tilt, ``vary_lambda`` components in weight and ``lam`` (sharing the tilt);
+both are stored as (weight, alpha, lam) triples.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
-from typing import Iterable
+from typing import Iterable, NamedTuple
 
 import numpy as np
 
@@ -57,14 +58,14 @@ class MixtureModel:
             raise ParameterError("weights/alphas/lams must share a positive length")
         if self.variant not in ("vary_alpha", "vary_lambda"):
             raise ParameterError(f"unknown mixture variant {self.variant!r}")
-        if any(not (w > 0 and np.isfinite(w)) for w in self.weights):
+        if any(not (w > 0 and math.isfinite(w)) for w in self.weights):
             raise ParameterError("all mixing weights must be > 0")
         if abs(sum(self.weights) - 1.0) > _WEIGHT_TOL:
             raise ParameterError(
                 f"mixing weights must sum to 1 within {_WEIGHT_TOL}, got {sum(self.weights)!r}"
             )
         for name, vals in (("alpha", self.alphas), ("lam", self.lams)):
-            if any(not (v > 0 and np.isfinite(v)) for v in vals):
+            if any(not (v > 0 and math.isfinite(v)) for v in vals):
                 raise ParameterError(f"all {name} values must be positive reals")
 
     # -- constructors ------------------------------------------------------
@@ -109,48 +110,27 @@ class MixtureModel:
 
     # -- evaluation --------------------------------------------------------
 
-    def _component_tilted_powers(self, x) -> np.ndarray:
-        """z_i = S(x)**lam_i, shape (n,) + shape(x); log-space for tail safety."""
-        logs = np.asarray(self.baseline.log_survival(x), dtype=float)
-        lams = np.asarray(self.lams)[(...,) + (np.newaxis,) * logs.ndim]
-        return np.exp(lams * logs)
+    def _terms(self, logs) -> "_Terms":
+        """The kernel: per-component terms at ``logs``, components on axis 0."""
+        logs = np.asarray(logs, dtype=float)
+        col = (-1,) + (1,) * logs.ndim
+        a = np.array(self.alphas).reshape(col)
+        lam = np.array(self.lams[:1] if len(set(self.lams)) == 1 else self.lams).reshape(col)
+        c = lam * logs
+        z = np.exp(c)
+        return _Terms(np.array(self.weights).reshape(col), a, lam, c, z, 1.0 - (1.0 - a) * z)
 
     def survival(self, x):
-        z = self._component_tilted_powers(x)
-        w = np.asarray(self.weights)[(...,) + (np.newaxis,) * (z.ndim - 1)]
-        a = np.asarray(self.alphas)[(...,) + (np.newaxis,) * (z.ndim - 1)]
-        return np.sum(w * a * z / (1.0 - (1.0 - a) * z), axis=0)
+        return self._terms(self.baseline.log_survival(x)).survival()
 
     def cdf(self, x):
         return 1.0 - self.survival(x)
 
     def density(self, x):
-        z = self._component_tilted_powers(x)
-        w = np.asarray(self.weights)[(...,) + (np.newaxis,) * (z.ndim - 1)]
-        a = np.asarray(self.alphas)[(...,) + (np.newaxis,) * (z.ndim - 1)]
-        lam = np.asarray(self.lams)[(...,) + (np.newaxis,) * (z.ndim - 1)]
-        r = np.asarray(self.baseline.hazard(x), dtype=float)
-        return np.sum(w * lam * a * z * r / (1.0 - (1.0 - a) * z) ** 2, axis=0)
+        return self._terms(self.baseline.log_survival(x)).density(self.baseline.hazard(x))
 
     def hazard(self, x):
-        # density/survival with the common factor max_i z_i divided out, so the
-        # ratio stays exact even where every component survival underflows
-        logs = np.asarray(self.baseline.log_survival(x), dtype=float)
-        c = np.asarray(self.lams)[(...,) + (np.newaxis,) * logs.ndim] * logs
-        zt = np.exp(c - np.max(c, axis=0))
-        z = np.exp(c)
-        w = np.asarray(self.weights)[(...,) + (np.newaxis,) * logs.ndim]
-        a = np.asarray(self.alphas)[(...,) + (np.newaxis,) * logs.ndim]
-        lam = np.asarray(self.lams)[(...,) + (np.newaxis,) * logs.ndim]
-        m = 1.0 - (1.0 - a) * z
-        r = np.asarray(self.baseline.hazard(x), dtype=float)
-        num = np.sum(w * lam * a * zt / m**2, axis=0) * r
-        den = np.sum(w * a * zt / m, axis=0)
-        if np.any(den == 0.0):
-            arr = np.asarray(x, dtype=float)
-            witness = float(arr[np.asarray(den) == 0.0][0]) if arr.ndim else float(arr)
-            raise NumericalError("mixture survival underflow in hazard", witness=witness)
-        return num / den
+        return self._terms(self.baseline.log_survival(x)).hazard(self.baseline.hazard(x), x)
 
     # -- quantiles and sampling -------------------------------------------
 
@@ -203,6 +183,46 @@ class MixtureModel:
         return np.asarray(self.baseline.inverse_survival(z), dtype=float)
 
 
+class _Terms(NamedTuple):
+    """Columns ``w, a, lam``; ``c = lam * log s``, ``z = exp(c)``, tilt denominator ``m``."""
+
+    w: np.ndarray
+    a: np.ndarray
+    lam: np.ndarray
+    c: np.ndarray
+    z: np.ndarray
+    m: np.ndarray
+
+    def head(self, k: int) -> "_Terms":
+        """The terms at the first ``k`` levels of a one-dimensional level array."""
+        return self._replace(c=self.c[:, :k], z=self.z[:, :k], m=self.m[:, :k])
+
+    def components(self) -> np.ndarray:
+        """Per-component survivals ``alpha_i * z_i / m_i``, shape (n,) + levels."""
+        return self.a * self.z / self.m
+
+    def survival(self):
+        return np.sum(self.w * self.a * self.z / self.m, axis=0)
+
+    def density(self, r):
+        """Mixture density, given the baseline hazard ``r`` at the same points."""
+        return np.sum(self.w * self.lam * self.a * self.z * r / self.m**2, axis=0)
+
+    def hazard(self, r, x):
+        """Mixture hazard, given the baseline hazard ``r`` at the points ``x``."""
+        # density/survival with the common factor max_i z_i divided out, so the
+        # ratio stays exact where every component survival underflows; with
+        # one shared lam that factor is every z_i and cancels exactly
+        zt = 1.0 if len(self.c) == 1 else np.exp(self.c - np.max(self.c, axis=0))
+        num = np.sum(self.w * self.lam * self.a * zt / self.m**2, axis=0) * r
+        den = np.sum(self.w * self.a * zt / self.m, axis=0)
+        if np.any(den == 0.0):
+            arr = np.asarray(x, dtype=float)
+            witness = float(arr[np.asarray(den) == 0.0][0]) if arr.ndim else float(arr)
+            raise NumericalError("mixture survival underflow in hazard", witness=witness)
+        return num / den
+
+
 # -- curve tabulation -------------------------------------------------------
 
 
@@ -211,20 +231,21 @@ class EvaluationGrid:
     """Strictly increasing grid of t in (0,1), mapped to x = t/(1-t)."""
 
     t_values: np.ndarray = field(repr=False)
+    x_values: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
-        t = np.asarray(self.t_values, dtype=float)
-        object.__setattr__(self, "t_values", t)
+        t = np.array(self.t_values, dtype=float)
         if t.ndim != 1 or t.size < 1:
             raise ParameterError("grid must be a one-dimensional, non-empty array")
         if np.any(t <= 0) or np.any(t >= 1):
             raise ParameterError("grid t-values must lie strictly inside (0, 1)")
         if np.any(np.diff(t) <= 0):
             raise ParameterError("grid t-values must be strictly increasing")
-
-    @property
-    def x_values(self) -> np.ndarray:
-        return self.t_values / (1.0 - self.t_values)
+        # both arrays are private read-only copies, so x stays t/(1-t) for good
+        x = t / (1.0 - t)
+        t.flags.writeable = x.flags.writeable = False
+        object.__setattr__(self, "t_values", t)
+        object.__setattr__(self, "x_values", x)
 
     def __len__(self) -> int:
         return int(self.t_values.size)

@@ -105,6 +105,12 @@ def _directional_verdict(
     )
 
 
+def _baseline_pair(m1: MixtureModel, m2: MixtureModel, method: str, x: np.ndarray):
+    """Both models' baseline ``method`` at x, evaluated once for a shared baseline."""
+    v1 = getattr(m1.baseline, method)(x)
+    return v1, (v1 if m2.baseline == m1.baseline else getattr(m2.baseline, method)(x))
+
+
 def check_st(
     m1: MixtureModel,
     m2: MixtureModel,
@@ -112,9 +118,9 @@ def check_st(
     slack: float = DEFAULT_SLACK,
 ) -> OrderVerdict:
     """Pointwise survival comparison on the grid."""
-    x = grid.x_values
-    s1 = np.asarray(m1.survival(x))
-    s2 = np.asarray(m2.survival(x))
+    l1, l2 = _baseline_pair(m1, m2, "log_survival", grid.x_values)
+    s1 = m1._terms(l1).survival()
+    s2 = m2._terms(l2).survival()
     return _directional_verdict(
         np.maximum(s1 - s2, 0.0), np.maximum(s2 - s1, 0.0), grid.t_values, slack
     )
@@ -124,20 +130,6 @@ def _monotone_violations(values: np.ndarray, slack_scale: np.ndarray) -> np.ndar
     """Per-step violation of nondecreasingness, scaled by max(1, |value|)."""
     drops = -(np.diff(values))
     return np.maximum(drops / slack_scale, 0.0)
-
-
-def _truncate_to_positive_survival(
-    m1: MixtureModel, m2: MixtureModel, grid: EvaluationGrid
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, float | None]:
-    x = grid.x_values
-    s1 = np.asarray(m1.survival(x))
-    s2 = np.asarray(m2.survival(x))
-    safe = (s1 >= _SURVIVAL_FLOOR) & (s2 >= _SURVIVAL_FLOOR)
-    if np.all(safe):
-        return grid.t_values, s1, s2, None
-    cut = int(np.argmin(safe))  # first unsafe index; survival is nonincreasing
-    t_cut = float(grid.t_values[cut])
-    return grid.t_values[:cut], s1[:cut], s2[:cut], t_cut
 
 
 def check_hr(
@@ -154,7 +146,18 @@ def check_hr(
     split decision beyond slack.  Grid points past survival underflow are
     dropped and the truncation point recorded.
     """
-    t, s1, s2, t_cut = _truncate_to_positive_survival(m1, m2, grid)
+    x = grid.x_values
+    l1, l2 = _baseline_pair(m1, m2, "log_survival", x)
+    k1, k2 = m1._terms(l1), m2._terms(l2)
+    s1, s2 = k1.survival(), k2.survival()
+    safe = (s1 >= _SURVIVAL_FLOOR) & (s2 >= _SURVIVAL_FLOOR)
+    t_cut = None
+    if not np.all(safe):
+        cut = int(np.argmin(safe))  # first unsafe index; survival is nonincreasing
+        t_cut = float(grid.t_values[cut])
+        x, s1, s2 = x[:cut], s1[:cut], s2[:cut]
+        k1, k2 = k1.head(cut), k2.head(cut)
+    t = grid.t_values[: x.size]
     if t.size < 2:
         return OrderVerdict(
             holds_leq=False,
@@ -166,7 +169,6 @@ def check_hr(
             reason="fewer than two grid points with positive survival",
             truncated_at_t=t_cut,
         )
-    x = t / (1.0 - t)
     ratio_leq = s2 / s1
     ratio_geq = s1 / s2
     scale_leq = np.maximum(1.0, np.abs(ratio_leq[:-1]))
@@ -174,8 +176,9 @@ def check_hr(
     viol_leq = _monotone_violations(ratio_leq, scale_leq)
     viol_geq = _monotone_violations(ratio_geq, scale_geq)
 
-    h1 = np.asarray(m1.hazard(x))
-    h2 = np.asarray(m2.hazard(x))
+    r1, r2 = _baseline_pair(m1, m2, "hazard", x)
+    h1 = k1.hazard(r1, x)
+    h2 = k2.hazard(r2, x)
     hscale = np.maximum(1.0, np.maximum(np.abs(h1), np.abs(h2)))
     hviol_leq = float(np.max(np.maximum((h2 - h1) / hscale, 0.0)))
     hviol_geq = float(np.max(np.maximum((h1 - h2) / hscale, 0.0)))
@@ -214,9 +217,9 @@ def check_star(
     Grid points whose cdf is numerically 0 or 1 are dropped (recorded) since
     they cannot be inverted.
     """
-    x_all = grid.x_values
-    u1 = np.asarray(m1.cdf(x_all))
-    u2 = np.asarray(m2.cdf(x_all))
+    l1, l2 = _baseline_pair(m1, m2, "log_survival", grid.x_values)
+    u1 = 1.0 - m1._terms(l1).survival()
+    u2 = 1.0 - m2._terms(l2).survival()
     keep = (u1 > _CDF_LO) & (u1 < _CDF_HI) & (u2 > _CDF_LO) & (u2 < _CDF_HI)
     notes: tuple[str, ...] = ()
     if not np.all(keep):

@@ -19,6 +19,7 @@ satisfied while the conclusion definitively fails.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 
 import numpy as np
 
@@ -155,8 +156,11 @@ class Scenario:
                 raise ShapeError("group sizes must be positive and sum to the matrix width")
 
     def resolved_matrix_b(self) -> ParameterMatrix:
-        if self.matrix_b is not None:
-            return self.matrix_b
+        return self.matrix_b if self.matrix_b is not None else self._chain_image
+
+    @cached_property
+    def _chain_image(self) -> ParameterMatrix:
+        # computed once here; verify_chain_witness recomputes it, as its check
         return apply_chain(self.matrix_a, self.chain)
 
     def model_a(self) -> MixtureModel:
@@ -265,21 +269,12 @@ def _hyp_space(s: Scenario, space: str) -> HypothesisCheck:
     )
 
 
-def _component_survivals(model: MixtureModel, x: np.ndarray) -> np.ndarray:
-    """Per-component survival values, shape (n, len(x))."""
-    logs = np.asarray(model.baseline.log_survival(x), dtype=float)
-    z = np.exp(np.asarray(model.lams)[:, None] * logs[None, :])
-    a = np.asarray(model.alphas)[:, None]
-    return a * z / (1.0 - (1.0 - a) * z)
-
-
 def _hyp_side_alpha(s: Scenario) -> HypothesisCheck:
     """For i<j: alpha_j * p_i * S_i(x) >= alpha_i * p_j * S_j(x) on the grid."""
     model = s.model_a()
-    x = s.grid.x_values
-    comp = _component_survivals(model, x)
-    p = np.asarray(model.weights)
-    a = np.asarray(model.alphas)
+    terms = model._terms(model.baseline.log_survival(s.grid.x_values))
+    comp = terms.components()
+    p, a = terms.w[:, 0], terms.a[:, 0]
     worst = 0.0
     for i in range(model.n_components):
         for j in range(i + 1, model.n_components):
@@ -294,12 +289,8 @@ def _hyp_side_alpha(s: Scenario) -> HypothesisCheck:
 def _hyp_side_lambda(s: Scenario) -> HypothesisCheck:
     """For i<j: p_i*S_i(x)/(1-(1-alpha)*z_i) >= p_j*S_j(x)/(1-(1-alpha)*z_j)."""
     model = s.model_a()
-    x = s.grid.x_values
-    logs = np.asarray(model.baseline.log_survival(x), dtype=float)
-    z = np.exp(np.asarray(model.lams)[:, None] * logs[None, :])
-    alpha = model.alphas[0]
-    m = 1.0 - (1.0 - alpha) * z
-    comp = np.asarray(model.weights)[:, None] * alpha * z / m**2
+    terms = model._terms(model.baseline.log_survival(s.grid.x_values))
+    comp = terms.w * terms.a * terms.z / terms.m**2
     worst = 0.0
     for i in range(model.n_components):
         for j in range(i + 1, model.n_components):

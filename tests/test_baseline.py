@@ -69,10 +69,12 @@ def test_power_burr_hand_evaluation():
 
 
 def test_negative_x_rejected():
+    bad_inputs = (-0.1, float("nan"), np.array([0.5, -1e-300, 2.0]), np.array([0.5, np.nan, 2.0]))
     for d in (Exponential(1.0), PowerBurr(0.2, 0.5)):
         for method in (d.survival, d.density, d.hazard, d.log_survival):
-            with pytest.raises(DomainError):
-                method(-0.1)
+            for x in bad_inputs:
+                with pytest.raises(DomainError, match="evaluation point must be >= 0"):
+                    method(x)
 
 
 def test_inverse_survival_closed_forms():
@@ -83,7 +85,7 @@ def test_inverse_survival_closed_forms():
 
 def test_inverse_survival_domain():
     d = Exponential(1.0)
-    for u in (0.0, -0.5, 1.0 + 1e-12, float("nan")):
+    for u in (0.0, -0.5, 1.0 + 1e-12, float("nan"), np.array([0.5, 0.0]), np.array([0.5, np.nan])):
         with pytest.raises(DomainError):
             d.inverse_survival(u)
 

@@ -6,7 +6,7 @@ import jsonschema
 import numpy as np
 import pytest
 
-from mixorder import cli
+from mixorder import MixtureModel, cli
 from mixorder.theorems import example_scenario
 
 
@@ -272,3 +272,48 @@ class TestSample:
         draws = np.array([float(v) for v in out.read_text().split()])
         emp = float(np.mean(draws > 1.0))
         assert abs(emp - 0.94291615164119531) <= 3.0 * math.sqrt(0.25 / 200000)
+
+
+class TestWriterBytes:
+    """The block writers match per-element f-string formatting byte for byte."""
+
+    SPECIAL = [float("nan"), float("inf"), float("-inf"), -0.0, 0.0, 5e-324, 1e308, -1e308,
+               2.2250738585072014e-308, 0.1, 1.0 / 3.0, 123456789.0, 1e15, 1e16, -2.5e-7]
+
+    def values(self, n, seed):
+        rng = np.random.default_rng(seed)
+        v = rng.standard_normal(n) * 10.0 ** rng.integers(-300, 300, size=n)
+        # specials at the start, across a block boundary and in the last, partial block
+        for at in (0, cli._BLOCK_ROWS - 3, n - len(self.SPECIAL)):
+            v[at:at + len(self.SPECIAL)] = self.SPECIAL
+        return v
+
+    def test_curve_file(self, tmp_path, capsys, monkeypatch):
+        n = 2 * cli._BLOCK_ROWS + 37
+        doc = json.loads(cli.bundled_scenario_path(5).read_text())
+        doc["grid"] = {"points": n}
+        scenario = tmp_path / "scenario.json"
+        scenario.write_text(json.dumps(doc))
+        va, vb = self.values(n, 1), self.values(n, 2)
+        outputs = iter([va, vb])
+        monkeypatch.setattr(MixtureModel, "hazard", lambda self, x: next(outputs))
+        out = tmp_path / "curve.csv"
+        code, _, _ = run(["curve", str(scenario), "--which", "hazard", "--out", str(out)], capsys)
+        assert code == 0
+        grid = cli.load_scenario(scenario).grid
+        expected = "t,x,model_a,model_b\n" + "".join(
+            f"{t:.15g},{x:.15g},{a:.15g},{b:.15g}\n"
+            for t, x, a, b in zip(grid.t_values, grid.x_values, va, vb)
+        )
+        assert out.read_bytes() == expected.encode()
+
+    def test_sample_file(self, tmp_path, capsys, monkeypatch):
+        n = 3 * cli._BLOCK_ROWS + 11
+        draws = self.values(n, 3)
+        monkeypatch.setattr(MixtureModel, "sample", lambda self, count, seed: draws[:count])
+        out = tmp_path / "draws.txt"
+        code, _, _ = run(
+            ["sample", str(cli.bundled_scenario_path(1)), "--n", str(n), "--out", str(out)], capsys
+        )
+        assert code == 0
+        assert out.read_bytes() == "".join(f"{v:.17g}\n" for v in draws).encode()

@@ -11,11 +11,13 @@ from mixorder import (
     EvaluationGrid,
     Exponential,
     MixtureModel,
+    MphrParams,
     ParameterError,
     PowerBurr,
     TailError,
     default_grid,
     evaluate_curve,
+    mphr,
 )
 from conftest import random_baseline
 
@@ -95,6 +97,32 @@ class TestHazard:
         m = MixtureModel.vary_alpha(Exponential(3.0), 0.2, [(0.3, 0.7), (0.7, 0.3)])
         assert m.survival(1e4) == 0.0
         assert m.hazard(1e4) == pytest.approx(0.6, rel=1e-9)
+
+
+class TestKernel:
+    @settings(max_examples=80, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n=st.integers(1, 5),
+        variant=st.sampled_from(["vary_alpha", "vary_lambda"]),
+        burr=st.booleans(),
+    )
+    def test_matches_weighted_component_formulas(self, seed, n, variant, burr):
+        rng = np.random.default_rng(seed)
+        d = (PowerBurr(rng.uniform(0.5, 2.0), rng.uniform(0.5, 2.0)) if burr
+             else Exponential(rng.uniform(0.3, 2.0)))
+        components = zip(rng.dirichlet(np.ones(n)), rng.uniform(0.3, 3.0, size=n))
+        m = getattr(MixtureModel, variant)(d, rng.uniform(0.3, 3.0), components)
+        # baseline survival levels in [1e-6, 0.9], so the cdf stays away from 0
+        x = d.inverse_survival(rng.uniform(1e-6, 0.9, size=64))
+        params = [MphrParams(alpha=a, lam=l) for a, l in zip(m.alphas, m.lams)]
+        w = np.asarray(m.weights)[:, None]
+        surv = np.sum(w * np.array([mphr.survival(p, d, x) for p in params]), axis=0)
+        dens = np.sum(w * np.array([mphr.density(p, d, x) for p in params]), axis=0)
+        np.testing.assert_allclose(m.survival(x), surv, rtol=1e-13, atol=0.0)
+        np.testing.assert_allclose(m.cdf(x), 1.0 - surv, rtol=1e-13, atol=0.0)
+        np.testing.assert_allclose(m.density(x), dens, rtol=1e-13, atol=0.0)
+        np.testing.assert_allclose(m.hazard(x), dens / surv, rtol=1e-13, atol=0.0)
 
 
 class TestQuantile:
@@ -232,6 +260,18 @@ class TestCurves:
             EvaluationGrid(np.array([0.0, 0.5]))
         with pytest.raises(ParameterError):
             default_grid(0)
+
+    def test_x_values_fixed_at_construction(self):
+        t = np.linspace(1e-4, 1.0 - 1e-4, 2001)
+        grid = EvaluationGrid(t)
+        assert np.array_equal(grid.x_values, t / (1.0 - t))
+        t[0] = 0.5  # the grid keeps its own copy
+        assert grid.t_values[0] == 1e-4 and grid.x_values[0] == 1e-4 / (1.0 - 1e-4)
+        for values in (grid.t_values, grid.x_values):
+            with pytest.raises(ValueError):
+                values[0] = 1.0
+            with pytest.raises(ValueError):
+                values *= 2.0
 
     def test_three_point_survival_series(self):
         grid = EvaluationGrid(np.array([0.25, 0.5, 0.75]))

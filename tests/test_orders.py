@@ -1,3 +1,5 @@
+import collections
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
@@ -129,6 +131,77 @@ class TestCheckHr:
         v = check_hr(m, m, grid_default)
         assert v.truncated_at_t is not None
         assert any("truncated" in n for n in v.notes)
+
+
+class TestSharedKernel:
+    @staticmethod
+    def count_baseline_calls(monkeypatch, cls):
+        calls = collections.Counter()
+        for name in ("survival", "log_survival", "density", "hazard"):
+            def counted(self, x, _name=name, _orig=getattr(cls, name)):
+                calls[_name] += 1
+                return _orig(self, x)
+            monkeypatch.setattr(cls, name, counted)
+        return calls
+
+    def test_shared_baseline_evaluated_once_per_verdict(self, monkeypatch, grid_default):
+        # equal, not identical, baselines count as shared
+        a = MixtureModel.vary_alpha(Exponential(3.0), 0.2, [(0.3, 0.7), (0.7, 0.3)])
+        b = MixtureModel.vary_alpha(Exponential(3.0), 0.2, [(0.34, 0.66), (0.66, 0.34)])
+        calls = self.count_baseline_calls(monkeypatch, Exponential)
+        check_st(a, b, grid_default)
+        assert calls == {"log_survival": 1}
+        calls.clear()
+        check_hr(a, b, grid_default)
+        assert calls == {"log_survival": 1, "hazard": 1}
+
+    def test_distinct_baselines_evaluated_per_model(self, monkeypatch, grid_default):
+        a = MixtureModel.vary_alpha(Exponential(3.0), 0.2, [(0.3, 0.7), (0.7, 0.3)])
+        b = MixtureModel.vary_alpha(Exponential(2.0), 0.2, [(0.3, 0.7), (0.7, 0.3)])
+        calls = self.count_baseline_calls(monkeypatch, Exponential)
+        check_hr(a, b, grid_default)
+        assert calls == {"log_survival": 2, "hazard": 2}
+
+    # verdicts of the per-method implementation, which evaluated survival and
+    # hazard separately, recomputing hazards on the kept prefix
+    TRUNCATED = [
+        (
+            (Exponential(3.0), "vary_alpha", 0.2, [(0.3, 0.7), (0.7, 0.3)]),
+            (Exponential(3.0), "vary_alpha", 0.2, [(0.34, 0.66), (0.66, 0.34)]),
+            dict(holds_leq=True, holds_geq=False, max_violation_leq=4.155915065441762e-16,
+                 max_violation_geq=9.159331908692447e-05, witness_t=0.0001,
+                 hazard_holds_leq=True, hazard_holds_geq=False,
+                 truncated_at_t=0.9994001000000001),
+        ),
+        (
+            (Exponential(3.0), "vary_lambda", 0.5, [(0.4, 0.3), (0.6, 2.0)]),
+            (Exponential(2.0), "vary_lambda", 0.5, [(0.5, 0.4), (0.5, 1.5)]),
+            dict(holds_leq=False, holds_geq=False, max_violation_leq=7.808446630203409e-05,
+                 max_violation_geq=0.0023925723706255397, witness_t=0.9499100000000001,
+                 hazard_holds_leq=False, hazard_holds_geq=False,
+                 truncated_at_t=0.9989002000000001),
+        ),
+    ]
+
+    @pytest.mark.parametrize("spec1, spec2, expected", TRUNCATED)
+    def test_truncated_hr_verdict_unchanged(self, spec1, spec2, expected, grid_default):
+        m1, m2 = (getattr(MixtureModel, v)(d, c, comps) for d, v, c, comps in (spec1, spec2))
+        v = check_hr(m1, m2, grid_default)
+        for name, want in expected.items():
+            if name.startswith("max_violation"):
+                assert getattr(v, name) == pytest.approx(want, rel=1e-9, abs=1e-14), name
+            else:
+                assert getattr(v, name) == want, name
+        assert not v.inconclusive and not v.hazard_disagrees
+        t_cut = expected["truncated_at_t"]
+        assert v.notes == (f"grid truncated at t={t_cut:.6g} (survival underflow)",)
+
+    def test_truncated_before_two_points_is_inconclusive(self, grid_default):
+        m = MixtureModel.vary_alpha(Exponential(1e7), 0.5, [(0.5, 0.3), (0.5, 0.6)])
+        v = check_hr(m, m, grid_default)
+        assert v.inconclusive and v.reason == "fewer than two grid points with positive survival"
+        assert v.truncated_at_t == 0.0005999000000000001
+        assert v.hazard_holds_leq is None and v.notes == ()
 
 
 class TestCheckStar:
