@@ -6,10 +6,10 @@ survival is ``sum_i p_i alpha_i z_i / m_i`` and density ``r(x) sum_i p_i lam_i
 alpha_i z_i / m_i**2`` with ``r`` the baseline hazard.  One private kernel,
 ``MixtureModel._terms``, computes these terms from ``log s`` for the public
 methods, ``orders`` and ``theorems``.  When every component shares one ``lam``
-(every ``vary_alpha`` model) it computes one power instead of n identical ones,
-and the hazard needs no rescaling.  ``vary_alpha`` components differ in weight
-and tilt, ``vary_lambda`` components in weight and ``lam`` (sharing the tilt);
-both are stored as (weight, alpha, lam) triples.
+(every ``vary_alpha`` model) it computes one power instead of n identical ones.
+``vary_alpha`` components differ in weight and tilt, ``vary_lambda`` components
+in weight and ``lam`` (sharing the tilt); both are stored as (weight, alpha,
+lam) triples.
 """
 
 from __future__ import annotations
@@ -211,9 +211,8 @@ class _Terms(NamedTuple):
     def hazard(self, r, x):
         """Mixture hazard, given the baseline hazard ``r`` at the points ``x``."""
         # density/survival with the common factor max_i z_i divided out, so the
-        # ratio stays exact where every component survival underflows; with
-        # one shared lam that factor is every z_i and cancels exactly
-        zt = 1.0 if len(self.c) == 1 else np.exp(self.c - np.max(self.c, axis=0))
+        # ratio stays exact where every component survival underflows
+        zt = np.exp(self.c - np.max(self.c, axis=0))
         num = np.sum(self.w * self.lam * self.a * zt / self.m**2, axis=0) * r
         den = np.sum(self.w * self.a * zt / self.m, axis=0)
         if np.any(den == 0.0):

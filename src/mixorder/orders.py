@@ -232,7 +232,7 @@ def check_star(
             witness_t=float("nan"), inconclusive=True,
             reason="fewer than two grid points with invertible cdf", notes=notes,
         )
-    x = t / (1.0 - t)
+    x = grid.x_values[keep]
     try:
         s_12 = m2.quantile(u1[keep])
         s_21 = m1.quantile(u2[keep])

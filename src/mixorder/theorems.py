@@ -274,7 +274,8 @@ def _hyp_side_alpha(s: Scenario) -> HypothesisCheck:
     model = s.model_a()
     terms = model._terms(model.baseline.log_survival(s.grid.x_values))
     comp = terms.components()
-    p, a = terms.w[:, 0], terms.a[:, 0]
+    p = np.asarray(model.weights)
+    a = np.asarray(model.alphas)
     worst = 0.0
     for i in range(model.n_components):
         for j in range(i + 1, model.n_components):
