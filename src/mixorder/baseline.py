@@ -7,8 +7,8 @@ Two concrete families are built in, both supported on (0, inf):
 
 The abstract surface is deliberately small; mixture and tilt transforms only
 ever touch ``survival`` / ``log_survival`` / ``density`` / ``hazard`` /
-``inverse_survival`` / ``tail_index``, so further baselines can be registered
-without touching dependent modules.
+``inverse_survival`` / ``inverse_log_survival`` / ``tail_index``, so further
+baselines can be registered without touching dependent modules.
 """
 
 from __future__ import annotations
@@ -37,6 +37,13 @@ def _as_survival_level(u) -> np.ndarray:
     return arr
 
 
+def _as_log_survival_level(logs) -> np.ndarray:
+    arr = np.asarray(logs, dtype=float)
+    if not np.all(arr <= 0):  # also rejects NaN
+        raise DomainError(f"log survival level must be <= 0, got {logs!r}")
+    return arr
+
+
 class BaselineDistribution(ABC):
     """A baseline survival bundle on (0, inf).
 
@@ -62,6 +69,10 @@ class BaselineDistribution(ABC):
 
     @abstractmethod
     def inverse_survival(self, u): ...
+
+    @abstractmethod
+    def inverse_log_survival(self, logs):
+        """The point x with ``log_survival(x) == logs``, exact where ``exp(logs)`` rounds to 1."""
 
     @property
     @abstractmethod
@@ -102,6 +113,9 @@ class Exponential(BaselineDistribution):
 
     def inverse_survival(self, u):
         return -np.log(_as_survival_level(u)) / self.rate
+
+    def inverse_log_survival(self, logs):
+        return -_as_log_survival_level(logs) / self.rate
 
     def params(self) -> dict[str, float]:
         return {"a": self.rate}
@@ -144,6 +158,10 @@ class PowerBurr(BaselineDistribution):
     def inverse_survival(self, u):
         arr = _as_survival_level(u)
         return (arr ** (-1.0 / self.shape_b) - 1.0) ** (1.0 / self.shape_a)
+
+    def inverse_log_survival(self, logs):
+        arr = _as_log_survival_level(logs)
+        return np.expm1(-arr / self.shape_b) ** (1.0 / self.shape_a)
 
     @property
     def tail_index(self) -> float:

@@ -7,6 +7,11 @@ alpha_i z_i / m_i**2`` with ``r`` the baseline hazard.  One private kernel,
 ``MixtureModel._terms``, computes these terms from ``log s`` for the public
 methods, ``orders`` and ``theorems``.  When every component shares one ``lam``
 (every ``vary_alpha`` model) it computes one power instead of n identical ones.
+
+Quantiles are solved on the same kernel by safeguarded Newton steps in
+``w = log(-log s)``, then mapped back through the baseline's closed-form
+``inverse_log_survival``, so no step evaluates the baseline (see ``quantile``).
+
 ``vary_alpha`` components differ in weight and tilt, ``vary_lambda`` components
 in weight and ``lam`` (sharing the tilt); both are stored as (weight, alpha,
 lam) triples.
@@ -32,12 +37,15 @@ __all__ = [
 ]
 
 _WEIGHT_TOL = 1e-12
-# quantile bisection bracket in log x: e^-745 is the smallest subnormal, and
-# levels past cdf(1e18) are a heavy tail the solver does not follow
-_QUANTILE_LOG_X_MIN = -745.0
+# quantile range: e^-745 is the smallest subnormal, and levels past cdf(1e18)
+# are a heavy tail the solver does not follow; the solver's bracket in
+# w = log(-log S) runs from -745 to log(-log S(1e18))
+_QUANTILE_X_MIN = math.exp(-745.0)
 _QUANTILE_X_MAX = 1e18
-_QUANTILE_LOG_RTOL = 1e-15
+_QUANTILE_W_MIN = -745.0
+_QUANTILE_W_RTOL = 1e-12
 _QUANTILE_MAX_ITER = 200
+_C_FLOOR = -np.finfo(float).max
 
 CURVE_KINDS = ("survival", "hazard", "density", "cdf")
 
@@ -137,12 +145,21 @@ class MixtureModel:
     def quantile(self, u):
         """Invert the cdf at a scalar level or an array of levels in (0, 1).
 
-        All levels are solved together by one vectorized bisection in ``log x``
-        over ``(e^-745, 1e18]`` on this model's own ``cdf``, stopping when the
-        bracket's width is below ``1e-15 * max(1, |log x|)``.  A scalar (or
-        0-d) level returns a ``float``; an array returns an array of the same
-        shape.  Raises ``DomainError`` for levels outside (0, 1) or NaN, and
-        ``TailError``, before any bisection, when a level exceeds
+        Each level is solved on the kernel ``_terms`` in ``w = log(-log S(x))``,
+        bracketed by ``[-745, log(-log S(1e18))]`` and started from the small-u
+        slope ``w0 = log(-log1p(-u) / sum_i p_i lam_i / alpha_i)``.  An iteration
+        takes one Newton step, with derivative ``dG/dlog s`` (the kernel's
+        ``density(1.0)``), on ``log F - log u`` for ``u <= 1/2``, where ``F`` is
+        the cancellation-free cdf ``sum_i p_i (1 - z_i) / m_i``, and on
+        ``log1p(-u) - log G`` above; a step that leaves the bracket becomes a
+        bisection.  A level stops, and leaves the working arrays, once its step
+        is at most ``1e-12 * max(1, |w|)``, so every level follows the same
+        iterations as in a scalar call.  ``w`` maps back through the baseline's
+        ``inverse_log_survival`` and is clipped to ``(e^-745, 1e18]``.
+
+        A scalar (or 0-d) level returns a ``float``; an array returns an array
+        of the same shape.  Raises ``DomainError`` for levels outside (0, 1) or
+        NaN, and ``TailError``, before solving, when a level exceeds
         ``cdf(1e18)``.
         """
         levels = np.asarray(u, dtype=float)
@@ -151,24 +168,55 @@ class MixtureModel:
             raise DomainError(
                 f"quantile level must lie in (0, 1), got {float(levels[bad][0])!r}"
             )
-        u_max = float(self.cdf(_QUANTILE_X_MAX))
+        logs_max = self.baseline.log_survival(_QUANTILE_X_MAX)
+        u_max = float(1.0 - self._terms(logs_max).survival())
         past = levels > u_max
         if np.any(past):
             raise TailError(
                 f"quantile level {float(levels[past][0])!r} lies past "
                 f"cdf({_QUANTILE_X_MAX:g}) = {u_max!r}"
             )
-        lo = np.full(levels.shape, _QUANTILE_LOG_X_MIN)
-        hi = np.full(levels.shape, np.log(_QUANTILE_X_MAX))
-        for _ in range(_QUANTILE_MAX_ITER):
-            mid = 0.5 * (lo + hi)
-            below = self.cdf(np.exp(mid)) < levels
-            lo = np.where(below, mid, lo)
-            hi = np.where(below, hi, mid)
-            if np.all(hi - lo <= _QUANTILE_LOG_RTOL * np.maximum(1.0, np.abs(mid))):
-                break
-        x = np.exp(0.5 * (lo + hi))
-        return float(x) if levels.ndim == 0 else x
+        w = self._solve_log_log_survival(levels.reshape(-1), math.log(-float(logs_max)))
+        x = self.baseline.inverse_log_survival(-np.exp(w))
+        x = np.clip(x, _QUANTILE_X_MIN, _QUANTILE_X_MAX)
+        return float(x[0]) if levels.ndim == 0 else x.reshape(levels.shape)
+
+    def _solve_log_log_survival(self, u: np.ndarray, w_max: float) -> np.ndarray:
+        """``w = log(-log s)`` with ``1 - G(s) = u`` for each level of the 1-d array ``u``."""
+        upper = u > 0.5
+        target = np.where(upper, np.log1p(-u), np.log(u))
+        slope = sum(p * l / a for p, a, l in zip(self.weights, self.alphas, self.lams))
+        w = np.clip(np.log(-np.log1p(-u) / slope), _QUANTILE_W_MIN, w_max)
+        lo = np.full(u.shape, _QUANTILE_W_MIN)
+        hi = np.full(u.shape, w_max)
+        out = np.empty(u.shape)
+        todo = np.arange(u.size)
+        # log(0) and 0 * inf where a level's kernel under- or overflows make the
+        # Newton step non-finite; such a step is replaced by a bisection
+        with np.errstate(divide="ignore", invalid="ignore"):
+            for _ in range(_QUANTILE_MAX_ITER):
+                ew = np.exp(w)
+                t = self._terms(-ew)
+                tail = np.where(upper, t.survival(), t.cdf())
+                g = np.where(upper, target - np.log(tail), np.log(tail) - target)
+                low = g < 0.0
+                lo = np.where(low, w, lo)
+                hi = np.where(low, hi, w)
+                # dg/dw = e^w * (dG/dlog s) / tail on both sides
+                step = -g * tail / (t.density(1.0) * ew)
+                new = w + step
+                new = np.where((new >= lo) & (new <= hi), new, 0.5 * (lo + hi))
+                done = np.abs(new - w) <= _QUANTILE_W_RTOL * np.maximum(1.0, np.abs(w))
+                out[todo[done]] = new[done]
+                go = ~done
+                if not np.any(go):
+                    break
+                todo, w, lo, hi, upper, target = (
+                    arr[go] for arr in (todo, new, lo, hi, upper, target)
+                )
+            else:
+                out[todo] = w
+        return out
 
     def sample(self, n: int, seed: int) -> np.ndarray:
         """Inverse-transform sampling: pick a component, invert its survival."""
@@ -181,6 +229,19 @@ class MixtureModel:
         lam = np.asarray(self.lams)[idx]
         z = (u / (a + u * (1.0 - a))) ** (1.0 / lam)
         return np.asarray(self.baseline.inverse_survival(z), dtype=float)
+
+
+def _sum_rows(rows):
+    """Sum over the component axis 0 in row order.
+
+    ``np.sum`` switches to pairwise order from 8 components on, and whether it
+    does depends on the number of levels, so a level could sum differently in a
+    scalar and in an array call; row order gives every level the same sum.
+    """
+    total = rows[0].copy()
+    for row in rows[1:]:
+        total += row
+    return total
 
 
 class _Terms(NamedTuple):
@@ -202,23 +263,35 @@ class _Terms(NamedTuple):
         return self.a * self.z / self.m
 
     def survival(self):
-        return np.sum(self.w * self.a * self.z / self.m, axis=0)
+        return _sum_rows(self.w * self.a * self.z / self.m)
+
+    def cdf(self):
+        """``1 - survival`` as ``sum_i w_i (1 - z_i) / m_i``, free of cancellation near s = 1."""
+        return _sum_rows(self.w * -np.expm1(self.c) / self.m)
 
     def density(self, r):
         """Mixture density, given the baseline hazard ``r`` at the same points."""
-        return np.sum(self.w * self.lam * self.a * self.z * r / self.m**2, axis=0)
+        return _sum_rows(self.w * self.lam * self.a * self.z * r / self.m**2)
 
     def hazard(self, r, x):
         """Mixture hazard, given the baseline hazard ``r`` at the points ``x``."""
         # density/survival with the common factor max_i z_i divided out, so the
-        # ratio stays exact where every component survival underflows
-        zt = np.exp(self.c - np.max(self.c, axis=0))
-        num = np.sum(self.w * self.lam * self.a * zt / self.m**2, axis=0) * r
-        den = np.sum(self.w * self.a * zt / self.m, axis=0)
+        # ratio stays exact where every component survival underflows; the
+        # finite floor of the max keeps c - max c at -inf, not NaN, where every
+        # c is -inf
+        zt = np.exp(self.c - np.max(self.c, axis=0, initial=_C_FLOOR))
+        num = _sum_rows(self.w * self.lam * self.a * zt / self.m**2) * r
+        den = _sum_rows(self.w * self.a * zt / self.m)
         if np.any(den == 0.0):
-            arr = np.asarray(x, dtype=float)
-            witness = float(arr[np.asarray(den) == 0.0][0]) if arr.ndim else float(arr)
-            raise NumericalError("mixture survival underflow in hazard", witness=witness)
+            # at s = 0 (x = inf) every c is -inf: the ratio's limit is min(lam) * r
+            at_zero = np.isneginf(self.c[0])
+            under = (den == 0.0) & ~at_zero
+            if np.any(under):
+                arr = np.asarray(x, dtype=float)
+                witness = float(arr[under][0]) if arr.ndim else float(arr)
+                raise NumericalError("mixture survival underflow in hazard", witness=witness)
+            with np.errstate(invalid="ignore"):
+                return np.where(at_zero, np.min(self.lam) * r, num / den)[()]
         return num / den
 
 

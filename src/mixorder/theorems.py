@@ -269,10 +269,9 @@ def _hyp_space(s: Scenario, space: str) -> HypothesisCheck:
     )
 
 
-def _hyp_side_alpha(s: Scenario) -> HypothesisCheck:
+def _hyp_side_alpha(model: MixtureModel, grid: EvaluationGrid) -> HypothesisCheck:
     """For i<j: alpha_j * p_i * S_i(x) >= alpha_i * p_j * S_j(x) on the grid."""
-    model = s.model_a()
-    terms = model._terms(model.baseline.log_survival(s.grid.x_values))
+    terms = model._terms(model.baseline.log_survival(grid.x_values))
     comp = terms.components()
     p = np.asarray(model.weights)
     a = np.asarray(model.alphas)
@@ -287,10 +286,9 @@ def _hyp_side_alpha(s: Scenario) -> HypothesisCheck:
     )
 
 
-def _hyp_side_lambda(s: Scenario) -> HypothesisCheck:
+def _hyp_side_lambda(model: MixtureModel, grid: EvaluationGrid) -> HypothesisCheck:
     """For i<j: p_i*S_i(x)/(1-(1-alpha)*z_i) >= p_j*S_j(x)/(1-(1-alpha)*z_j)."""
-    model = s.model_a()
-    terms = model._terms(model.baseline.log_survival(s.grid.x_values))
+    terms = model._terms(model.baseline.log_survival(grid.x_values))
     comp = terms.w * terms.a * terms.z / terms.m**2
     worst = 0.0
     for i in range(model.n_components):
@@ -403,10 +401,10 @@ def check_theorem(theorem_id: str, s: Scenario) -> TheoremReport:
         raise ParameterError(
             f"{theorem_id} needs a {expected_variant} scenario, got {s.variant}"
         )
+    model_a, model_b = s.model_a(), s.model_b()
 
     if theorem_id in ("T7", "C7"):
         hypotheses = _hyp_two_group(s)
-        model_a, model_b = s.model_a(), s.model_b()
         if theorem_id == "T7":
             asserted = "model A dominates model B in the star order (A >=star B)"
             try:
@@ -433,7 +431,7 @@ def check_theorem(theorem_id: str, s: Scenario) -> TheoremReport:
             "hazard of model A dominates model B pointwise "
             "(survival ratio S_B/S_A nondecreasing)"
         )
-        conclusion = check_hr(s.model_a(), s.model_b(), s.grid)
+        conclusion = check_hr(model_a, model_b, s.grid)
         holds = conclusion.holds_leq
     else:
         # usual stochastic order families
@@ -443,14 +441,15 @@ def check_theorem(theorem_id: str, s: Scenario) -> TheoremReport:
         hypotheses.append(_hyp_space(s, space))
         if part_two:
             hypotheses.append(
-                _hyp_side_alpha(s) if theorem_id in _ST_ALPHA else _hyp_side_lambda(s)
+                _hyp_side_alpha(model_a, s.grid) if theorem_id in _ST_ALPHA
+                else _hyp_side_lambda(model_a, s.grid)
             )
         if theorem_id in _INTERMEDIATES:
             notes.append(
                 f"intermediate products are required to remain in "
                 f"{'K' if not part_two else 'L'}_n"
             )
-        conclusion = check_st(s.model_a(), s.model_b(), s.grid)
+        conclusion = check_st(model_a, model_b, s.grid)
         if theorem_id in _ST_ALPHA:
             a_below = not part_two  # part (i): A below B; part (ii): A above B
         else:

@@ -90,6 +90,35 @@ def test_inverse_survival_domain():
             d.inverse_survival(u)
 
 
+BASELINES = [Exponential(0.2), Exponential(2.0), PowerBurr(0.2, 0.5), PowerBurr(1.7, 0.6)]
+
+
+@pytest.mark.parametrize("d", BASELINES)
+def test_inverse_log_survival_matches_inverse_survival(d):
+    # log levels whose exp(y) is a normal float and whose x is below 1e100,
+    # away from y = 0, where inverse_survival loses digits to 1 - u
+    y = -np.geomspace(1e-3, min(700.0, -float(d.log_survival(1e100))), 60)
+    np.testing.assert_allclose(
+        d.inverse_log_survival(y), d.inverse_survival(np.exp(y)), rtol=1e-10
+    )
+    assert d.inverse_log_survival(0.0) == 0.0
+
+
+@pytest.mark.parametrize("d", BASELINES)
+def test_inverse_log_survival_finite_to_quantile_range_end(d):
+    # exact where exp(y) rounds to 1, and finite down to log S(1e18)
+    assert d.inverse_log_survival(d.log_survival(1e-300)) == pytest.approx(1e-300, rel=1e-12)
+    x = d.inverse_log_survival(d.log_survival(1e18))
+    assert np.isfinite(x) and x == pytest.approx(1e18, rel=1e-12)
+
+
+def test_inverse_log_survival_domain():
+    d = PowerBurr(1.0, 1.0)
+    for y in (1e-12, float("nan"), np.array([-0.5, 0.5])):
+        with pytest.raises(DomainError):
+            d.inverse_log_survival(y)
+
+
 def test_hazard_identity_random_pairs():
     # |hazard - density/survival| <= 1e-12 relative over 1000 random (d, x)
     rng = np.random.default_rng(2024)

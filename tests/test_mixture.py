@@ -1,5 +1,7 @@
+import collections
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -17,6 +19,7 @@ from mixorder import (
     TailError,
     default_grid,
     evaluate_curve,
+    example_scenario,
     mphr,
 )
 from conftest import random_baseline
@@ -97,6 +100,19 @@ class TestHazard:
         m = MixtureModel.vary_alpha(Exponential(3.0), 0.2, [(0.3, 0.7), (0.7, 0.3)])
         assert m.survival(1e4) == 0.0
         assert m.hazard(1e4) == pytest.approx(0.6, rel=1e-9)
+
+    @pytest.mark.parametrize("variant, param, components, limit", [
+        ("vary_alpha", 0.5, [(0.3, 0.7), (0.7, 0.3)], 1.0),
+        ("vary_lambda", 0.5, [(0.4, 0.3), (0.6, 2.0)], 0.6),
+    ])
+    def test_limit_at_infinity(self, variant, param, components, limit):
+        # min(lam) * r(inf) for an exponential baseline of rate r = 2
+        m = getattr(MixtureModel, variant)(Exponential(2.0), param, components)
+        assert m.hazard(np.inf) == limit
+        x = np.array([0.0, 1.0, 1e4, np.inf])
+        h = m.hazard(x)
+        assert h[-1] == limit
+        np.testing.assert_array_equal(h[:-1], m.hazard(x[:-1]))
 
 
 class TestKernel:
@@ -211,6 +227,104 @@ class TestArrayQuantile:
     def test_domain_error_in_arrays(self, bad):
         with pytest.raises(DomainError):
             self.M.quantile(np.array([0.2, bad, 0.7]))
+
+
+def example_models():
+    """Models A and B of bundled examples 5 (exponential) and 7 (heavy-tailed power_burr)."""
+    scenarios = [example_scenario(k)[1] for k in (5, 7)]
+    return [m for s in scenarios for m in (s.model_a(), s.model_b())]
+
+
+class TestQuantileExactness:
+    # 9 components: from 8 on, the order of np.sum over components depends on
+    # the number of levels, which an array call must not see
+    MODELS = [
+        getattr(MixtureModel, variant)(d, 0.7, zip(np.full(n, 1.0 / n), np.linspace(0.4, 2.5, n)))
+        for n in (2, 9)
+        for variant in ("vary_alpha", "vary_lambda")
+        for d in (Exponential(0.5), PowerBurr(1.3, 0.7))
+    ] + example_models()
+
+    @pytest.mark.parametrize("m", MODELS)
+    def test_vector_equals_scalar_calls(self, m):
+        top = min(1.0 - 1e-14, float(m.cdf(1e18)))
+        u = np.concatenate(
+            [np.geomspace(1e-200, top / 2, 40), top - np.geomspace(top / 2, 1e-16, 40)]
+        )
+        q = m.quantile(u)
+        np.testing.assert_array_equal(q, [m.quantile(float(v)) for v in u])
+
+
+class TestQuantileAccuracy:
+    """``quantile`` against a 50-digit mpmath cdf, relative error in min(u, 1 - u)."""
+
+    @staticmethod
+    def mp_cdf_and_survival(m, x):
+        with mp.workdps(50):
+            x = mp.mpf(x)
+            d = m.baseline
+            if isinstance(d, Exponential):
+                logs = -mp.mpf(d.rate) * x
+            else:
+                logs = -mp.mpf(d.shape_b) * mp.log1p(x ** mp.mpf(d.shape_a))
+            cdf = surv = mp.mpf(0)
+            for p, a, lam in zip(m.weights, m.alphas, m.lams):
+                c = mp.mpf(lam) * logs
+                one_minus_z = -mp.expm1(c)
+                den = 1 - (1 - mp.mpf(a)) * mp.exp(c)
+                cdf += mp.mpf(p) * one_minus_z / den
+                surv += mp.mpf(p) * mp.mpf(a) * mp.exp(c) / den
+            return cdf, surv
+
+    def models(self):
+        rng = np.random.default_rng(20)
+        randoms = [random_mixture(rng, v) for v in ("vary_alpha", "vary_lambda") for _ in range(4)]
+        return randoms + example_models()
+
+    def test_matches_mpmath_cdf(self):
+        for m in self.models():
+            top = min(1.0 - 1e-14, float(m.cdf(1e18)))
+            # a level whose quantile is below the smallest normal float cannot be
+            # represented to 1e-12 (example 7's quantile reaches it at u ~ 2e-64)
+            bottom = max(1e-100, float(self.mp_cdf_and_survival(m, np.finfo(float).tiny)[0]))
+            u = np.geomspace(bottom, min(0.5, top), 40)
+            if top > 0.5:
+                u = np.concatenate([u, 1.0 - np.geomspace(0.5, 1.0 - top, 40)])
+            for level, x in zip(u, m.quantile(u)):
+                cdf, surv = self.mp_cdf_and_survival(m, x)
+                if level <= 0.5:
+                    err = abs(cdf - mp.mpf(level)) / mp.mpf(level)
+                else:
+                    err = abs(surv - (1 - mp.mpf(level))) / (1 - mp.mpf(level))
+                assert err <= 1e-12, (m, level, float(err))
+
+
+class TestQuantileCounts:
+    """Non-timing guard: kernel and baseline evaluations per quantile call."""
+
+    @pytest.mark.parametrize("m", example_models())
+    def test_evaluations_per_call(self, monkeypatch, grid_default, m):
+        # the 2001 levels check_star inverts: cdf values on the default grid,
+        # clipped to its invertible band and to cdf(1e18)
+        u = np.clip(m.cdf(grid_default.x_values), 1e-300, min(1.0 - 3e-8, float(m.cdf(1e18))))
+        calls = collections.Counter()
+        terms = MixtureModel._terms
+
+        def counted_terms(self, logs):
+            calls["_terms"] += 1
+            return terms(self, logs)
+
+        monkeypatch.setattr(MixtureModel, "_terms", counted_terms)
+        cls = type(m.baseline)
+        for name in ("survival", "log_survival", "density", "hazard", "inverse_survival",
+                     "inverse_log_survival"):
+            def counted(self, x, _orig=getattr(cls, name)):
+                calls["baseline"] += 1
+                return _orig(self, x)
+            monkeypatch.setattr(cls, name, counted)
+        q = m.quantile(u)
+        assert q.shape == (2001,)
+        assert calls["_terms"] <= 16 and calls["baseline"] <= 2, calls
 
 
 class TestSample:
