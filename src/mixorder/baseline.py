@@ -138,7 +138,12 @@ class PowerBurr(BaselineDistribution):
 
     def log_survival(self, x):
         arr = _as_nonneg_array(x)
-        return -self.shape_b * np.log1p(arr**self.shape_a)
+        a, b = self.shape_a, self.shape_b
+        with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+            xa = arr**a
+            # where x**a overflows, log1p(x**a) = a*log(x) + log1p(x**-a)
+            tail = a * np.log(arr) + np.log1p(arr**-a)
+            return -b * np.where(np.isinf(xa), tail, np.log1p(xa))[()]
 
     def density(self, x):
         # a*b*x**(a-1) * (1+x**a)**(-(b+1)); x**(a-1) diverges at 0 when a < 1
@@ -151,9 +156,11 @@ class PowerBurr(BaselineDistribution):
     def hazard(self, x):
         arr = _as_nonneg_array(x)
         a, b = self.shape_a, self.shape_b
-        with np.errstate(divide="ignore"):
-            lead = arr ** (a - 1.0)
-        return a * b * lead / (1.0 + arr**a)
+        with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+            xa = arr**a
+            # where x**a overflows, x**(a-1)/(1 + x**a) = 1/(x*(1 + x**-a))
+            tail = a * b / (arr * (1.0 + arr**-a))
+            return np.where(np.isinf(xa), tail, a * b * arr ** (a - 1.0) / (1.0 + xa))[()]
 
     def inverse_survival(self, u):
         arr = _as_survival_level(u)

@@ -28,25 +28,26 @@ from importlib import resources
 from pathlib import Path
 from typing import Iterable, Iterator
 
-from .baseline import make_baseline
 from .errors import (
     DomainError,
     InfiniteMeanSuspected,
     MixOrderError,
     NumericalError,
     ParameterError,
+    ScenarioParseError,
     ShapeError,
     TailError,
 )
-from .majorization import ParameterMatrix, TTransform
-from .mixture import CURVE_KINDS, default_grid, evaluate_curve
+from .mixture import CURVE_KINDS, evaluate_curve
 from .orders import OrderVerdict, check_hr, check_lorenz, check_st, check_star
-from .theorems import (
+from .theorems import (  # scenario_to_dict and bundled_scenario_path are re-exported
     EXAMPLE_IDS,
     SEARCHABLE_IDS,
     Scenario,
     TheoremReport,
-    THEOREM_IDS,
+    bundled_scenario_path,
+    scenario_from_dict,
+    scenario_to_dict,
     search_counterexamples,
     verify_example,
 )
@@ -62,37 +63,8 @@ _GRID_ENV = "MIXORDER_GRID_POINTS"
 # rows per formatted block of curve and sample output: small text, few blocks
 _BLOCK_ROWS = 4096
 
-_SCENARIO_KEYS = {
-    "baseline", "model_variant", "common_param", "matrix_a",
-    "chain", "matrix_b", "grid", "theorem_id", "group_sizes",
-}
-_REQUIRED_KEYS = ("baseline", "model_variant", "common_param", "matrix_a")
-_MATRIX_KEYS = {"p", "theta"}
-_CHAIN_KEYS = {"omega", "permutation"}
-_GRID_KEYS = {"points", "t_min", "t_max"}
 
-
-class ScenarioParseError(ParameterError):
-    """A scenario document violates the schema; the message names the key."""
-
-
-# -- scenario (de)serialization -------------------------------------------------
-
-
-def _require_keys(doc: dict, allowed: set[str], where: str) -> None:
-    for key in doc:
-        if key not in allowed:
-            raise ScenarioParseError(f"unknown key {key!r} in {where}")
-
-
-def _parse_matrix(doc, where: str) -> ParameterMatrix:
-    if not isinstance(doc, dict):
-        raise ScenarioParseError(f"{where} must be an object with keys 'p' and 'theta'")
-    _require_keys(doc, _MATRIX_KEYS, where)
-    for key in _MATRIX_KEYS:
-        if key not in doc:
-            raise ScenarioParseError(f"missing key {key!r} in {where}")
-    return ParameterMatrix(tuple(doc["p"]), tuple(doc["theta"]))
+# -- scenario files -----------------------------------------------------------------
 
 
 def default_grid_points() -> int:
@@ -111,93 +83,7 @@ def default_grid_points() -> int:
 
 def parse_scenario(doc: dict) -> Scenario:
     """Build a Scenario from a parsed JSON document; unknown keys are rejected."""
-    try:
-        return _parse_scenario(doc)
-    except (TypeError, ValueError) as exc:
-        if isinstance(exc, ScenarioParseError) or isinstance(exc, ParameterError):
-            raise
-        raise ScenarioParseError(f"malformed scenario value: {exc}") from exc
-
-
-def _parse_scenario(doc: dict) -> Scenario:
-    if not isinstance(doc, dict):
-        raise ScenarioParseError("scenario document must be a JSON object")
-    _require_keys(doc, _SCENARIO_KEYS, "scenario")
-    for key in _REQUIRED_KEYS:
-        if key not in doc:
-            raise ScenarioParseError(f"missing key {key!r} in scenario")
-    if "chain" not in doc and "matrix_b" not in doc:
-        raise ScenarioParseError("scenario needs key 'chain' or key 'matrix_b'")
-
-    baseline_doc = doc["baseline"]
-    if not isinstance(baseline_doc, dict):
-        raise ScenarioParseError("key 'baseline' must be an object")
-    _require_keys(baseline_doc, {"kind", "params"}, "baseline")
-    if "kind" not in baseline_doc or "params" not in baseline_doc:
-        raise ScenarioParseError("baseline needs keys 'kind' and 'params'")
-    baseline = make_baseline(baseline_doc["kind"], **baseline_doc["params"])
-
-    chain = None
-    if "chain" in doc:
-        parsed = []
-        for i, entry in enumerate(doc["chain"]):
-            _require_keys(entry, _CHAIN_KEYS, f"chain[{i}]")
-            for key in _CHAIN_KEYS:
-                if key not in entry:
-                    raise ScenarioParseError(f"missing key {key!r} in chain[{i}]")
-            parsed.append(TTransform(omega=float(entry["omega"]),
-                                     permutation=tuple(entry["permutation"])))
-        chain = tuple(parsed)
-
-    matrix_b = _parse_matrix(doc["matrix_b"], "matrix_b") if "matrix_b" in doc else None
-
-    grid_doc = doc.get("grid", {})
-    _require_keys(grid_doc, _GRID_KEYS, "grid")
-    points = grid_doc.get("points", default_grid_points())
-    grid = default_grid(
-        points=int(points),
-        t_min=float(grid_doc.get("t_min", 1e-4)),
-        t_max=float(grid_doc.get("t_max", 1.0 - 1e-4)),
-    )
-
-    theorem_id = doc.get("theorem_id")
-    if theorem_id is not None and theorem_id not in THEOREM_IDS:
-        raise ScenarioParseError(f"unknown value for key 'theorem_id': {theorem_id!r}")
-
-    group_sizes = doc.get("group_sizes")
-    return Scenario(
-        baseline=baseline,
-        variant=doc["model_variant"],
-        common_param=float(doc["common_param"]),
-        matrix_a=_parse_matrix(doc["matrix_a"], "matrix_a"),
-        chain=chain,
-        matrix_b=matrix_b,
-        grid=grid,
-        group_sizes=tuple(int(g) for g in group_sizes) if group_sizes else None,
-    )
-
-
-def scenario_to_dict(s: Scenario, theorem_id: str | None = None) -> dict:
-    """Serialize a Scenario back to its JSON document form."""
-    doc: dict = {
-        "baseline": {"kind": s.baseline.kind, "params": s.baseline.params()},
-        "model_variant": s.variant,
-        "common_param": s.common_param,
-        "matrix_a": {"p": list(s.matrix_a.top_row), "theta": list(s.matrix_a.bottom_row)},
-    }
-    if s.chain is not None:
-        doc["chain"] = [
-            {"omega": t.omega, "permutation": list(t.permutation)} for t in s.chain
-        ]
-    if s.matrix_b is not None:
-        doc["matrix_b"] = {"p": list(s.matrix_b.top_row), "theta": list(s.matrix_b.bottom_row)}
-    t = s.grid.t_values
-    doc["grid"] = {"points": len(s.grid), "t_min": float(t[0]), "t_max": float(t[-1])}
-    if s.group_sizes is not None:
-        doc["group_sizes"] = list(s.group_sizes)
-    if theorem_id is not None:
-        doc["theorem_id"] = theorem_id
-    return doc
+    return scenario_from_dict(doc, default_grid_points())[1]
 
 
 def load_scenario(path: str | Path) -> Scenario:
@@ -210,13 +96,6 @@ def load_scenario(path: str | Path) -> Scenario:
     except json.JSONDecodeError as exc:
         raise ScenarioParseError(f"scenario file {path} is not valid JSON: {exc}") from exc
     return parse_scenario(doc)
-
-
-def bundled_scenario_path(k: int) -> Path:
-    """Filesystem path of the bundled example scenario file."""
-    if k not in EXAMPLE_IDS:
-        raise ParameterError(f"example id must be in {EXAMPLE_IDS}, got {k!r}")
-    return Path(str(resources.files("mixorder").joinpath(f"scenarios/example{k}.json")))
 
 
 def schema_path() -> Path:

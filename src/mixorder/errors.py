@@ -11,6 +11,10 @@ class ParameterError(MixOrderError, ValueError):
     """A constructor or call argument violates its contract (range, count, sign)."""
 
 
+class ScenarioParseError(ParameterError):
+    """A scenario document violates the schema; the message names the key."""
+
+
 class DomainError(MixOrderError, ValueError):
     """An evaluation point lies outside the mathematical domain of the function."""
 

@@ -80,6 +80,12 @@ class OrderVerdict:
     notes: tuple[str, ...] = ()
 
 
+def _undecided(reason: str, **extra) -> OrderVerdict:
+    """A verdict that decides neither direction, for ``reason``."""
+    nan = float("nan")
+    return OrderVerdict(False, False, nan, nan, nan, inconclusive=True, reason=reason, **extra)
+
+
 def _directional_verdict(
     viol_leq: np.ndarray,
     viol_geq: np.ndarray,
@@ -126,10 +132,10 @@ def check_st(
     )
 
 
-def _monotone_violations(values: np.ndarray, slack_scale: np.ndarray) -> np.ndarray:
+def _monotone_violations(values: np.ndarray) -> np.ndarray:
     """Per-step violation of nondecreasingness, scaled by max(1, |value|)."""
     drops = -(np.diff(values))
-    return np.maximum(drops / slack_scale, 0.0)
+    return np.maximum(drops / np.maximum(1.0, np.abs(values[:-1])), 0.0)
 
 
 def check_hr(
@@ -146,6 +152,11 @@ def check_hr(
     split decision beyond slack.  Grid points past survival underflow are
     dropped and the truncation point recorded.
     """
+    return _check_hr(m1, m2, grid, None, slack)
+
+
+def _check_hr(m1, m2, grid, hazard, slack=DEFAULT_SLACK) -> OrderVerdict:
+    """``check_hr`` given the shared baseline's hazard on the whole grid, or None."""
     x = grid.x_values
     l1, l2 = _baseline_pair(m1, m2, "log_survival", x)
     k1, k2 = m1._terms(l1), m2._terms(l2)
@@ -159,24 +170,16 @@ def check_hr(
         k1, k2 = k1.head(cut), k2.head(cut)
     t = grid.t_values[: x.size]
     if t.size < 2:
-        return OrderVerdict(
-            holds_leq=False,
-            holds_geq=False,
-            max_violation_leq=float("nan"),
-            max_violation_geq=float("nan"),
-            witness_t=float("nan"),
-            inconclusive=True,
-            reason="fewer than two grid points with positive survival",
-            truncated_at_t=t_cut,
-        )
+        return _undecided("fewer than two grid points with positive survival", truncated_at_t=t_cut)
     ratio_leq = s2 / s1
     ratio_geq = s1 / s2
-    scale_leq = np.maximum(1.0, np.abs(ratio_leq[:-1]))
-    scale_geq = np.maximum(1.0, np.abs(ratio_geq[:-1]))
-    viol_leq = _monotone_violations(ratio_leq, scale_leq)
-    viol_geq = _monotone_violations(ratio_geq, scale_geq)
+    viol_leq = _monotone_violations(ratio_leq)
+    viol_geq = _monotone_violations(ratio_geq)
 
-    r1, r2 = _baseline_pair(m1, m2, "hazard", x)
+    if hazard is None:
+        r1, r2 = _baseline_pair(m1, m2, "hazard", x)
+    else:
+        r1 = r2 = hazard[: x.size]
     h1 = k1.hazard(r1, x)
     h2 = k2.hazard(r2, x)
     hscale = np.maximum(1.0, np.maximum(np.abs(h1), np.abs(h2)))
@@ -218,35 +221,25 @@ def check_star(
     they cannot be inverted.
     """
     l1, l2 = _baseline_pair(m1, m2, "log_survival", grid.x_values)
-    u1 = 1.0 - m1._terms(l1).survival()
-    u2 = 1.0 - m2._terms(l2).survival()
+    u1 = m1._terms(l1).cdf()
+    u2 = m2._terms(l2).cdf()
     keep = (u1 > _CDF_LO) & (u1 < _CDF_HI) & (u2 > _CDF_LO) & (u2 < _CDF_HI)
     notes: tuple[str, ...] = ()
     if not np.all(keep):
         notes = (f"{int(np.sum(~keep))} grid points dropped (cdf at 0 or 1)",)
     t = grid.t_values[keep]
     if t.size < 2:
-        return OrderVerdict(
-            holds_leq=False, holds_geq=False,
-            max_violation_leq=float("nan"), max_violation_geq=float("nan"),
-            witness_t=float("nan"), inconclusive=True,
-            reason="fewer than two grid points with invertible cdf", notes=notes,
-        )
+        return _undecided("fewer than two grid points with invertible cdf", notes=notes)
     x = grid.x_values[keep]
     try:
         s_12 = m2.quantile(u1[keep])
         s_21 = m1.quantile(u2[keep])
     except TailError as exc:
-        return OrderVerdict(
-            holds_leq=False, holds_geq=False,
-            max_violation_leq=float("nan"), max_violation_geq=float("nan"),
-            witness_t=float("nan"), inconclusive=True,
-            reason=f"quantile inversion hit the tail guard: {exc}", notes=notes,
-        )
+        return _undecided(f"quantile inversion hit the tail guard: {exc}", notes=notes)
     ratio_leq = s_12 / x
     ratio_geq = s_21 / x
-    viol_leq = _monotone_violations(ratio_leq, np.maximum(1.0, np.abs(ratio_leq[:-1])))
-    viol_geq = _monotone_violations(ratio_geq, np.maximum(1.0, np.abs(ratio_geq[:-1])))
+    viol_leq = _monotone_violations(ratio_leq)
+    viol_geq = _monotone_violations(ratio_geq)
     return _directional_verdict(viol_leq, viol_geq, t[:-1], slack, notes=notes)
 
 

@@ -11,15 +11,22 @@ models derived from a 2 x n parameter matrix A and a transformed matrix B:
 * ``T7, C7``                  -- star / Lorenz dominance of the A-model for
                                  two-group tilt mixtures.
 
-``check_theorem`` evaluates every hypothesis, runs the matching order check,
-and reports ``consistent = False`` only in the red-flag state: all hypotheses
-satisfied while the conclusion definitively fails.
+Each proposition's contract lives in one place, its ``PropositionSpec`` row
+in ``PROPOSITIONS``.  ``check_theorem`` looks the row up, evaluates every
+hypothesis, runs the order check, and reports ``consistent = False`` only in
+the red-flag state: all hypotheses satisfied while the conclusion definitively
+fails.  Scenario JSON documents, the bundled ``scenarios/example*.json`` among
+them, are parsed by ``scenario_from_dict`` alone.
 """
 
 from __future__ import annotations
 
+import json
 from dataclasses import dataclass, field, replace
-from functools import cached_property
+from functools import cached_property, partial
+from importlib import resources
+from pathlib import Path
+from typing import Callable
 
 import numpy as np
 
@@ -28,6 +35,7 @@ from .errors import (
     InfiniteMeanSuspected,
     NumericalError,
     ParameterError,
+    ScenarioParseError,
     ShapeError,
     TailError,
 )
@@ -40,16 +48,21 @@ from .majorization import (
     verify_chain_witness,
 )
 from .mixture import EvaluationGrid, MixtureModel, default_grid
-from .orders import OrderVerdict, check_hr, check_lorenz, check_st, check_star
+from .orders import OrderVerdict, _check_hr, _undecided, check_lorenz, check_st, check_star
 
 __all__ = [
     "HypothesisCheck",
     "TheoremReport",
     "MonotoneReport",
     "Scenario",
+    "PropositionSpec",
+    "PROPOSITIONS",
     "THEOREM_IDS",
     "SEARCHABLE_IDS",
     "model_from_matrix",
+    "scenario_from_dict",
+    "scenario_to_dict",
+    "bundled_scenario_path",
     "check_theorem",
     "t7_ratio_monotone",
     "verify_example",
@@ -57,27 +70,10 @@ __all__ = [
     "search_counterexamples",
 ]
 
-THEOREM_IDS = (
-    "T1i", "T1ii", "T2i", "T2ii", "C1i", "C1ii", "C2i", "C2ii",
-    "T3i", "T3ii", "T4i", "T4ii", "C3i", "C3ii", "C4i", "C4ii",
-    "T5", "T6", "C5", "C6", "T7", "C7",
-)
-
-# T5_unconstrained is a pseudo-id: T5 with the weight*tilt balance dropped,
-# used to probe necessity.  T6 is searchable because its three-component
-# counterexamples are a genuine finding worth reproducing.
-SEARCHABLE_IDS = ("T1i", "T3i", "T5", "T5_unconstrained", "T6")
+EXAMPLE_IDS = (1, 2, 3, 4, 5, 6, 7)
 
 _SIDE_TOL = 1e-12
 _PRODUCT_TOL = 1e-10
-
-_ST_ALPHA = {"T1i", "T1ii", "T2i", "T2ii", "C1i", "C1ii", "C2i", "C2ii"}
-_ST_LAMBDA = {"T3i", "T3ii", "T4i", "T4ii", "C3i", "C3ii", "C4i", "C4ii"}
-_HR_FAMILY = {"T5", "T6", "C5", "C6", "T5_unconstrained"}
-_TWO_BY_TWO = {"T1i", "T1ii", "T3i", "T3ii", "T5", "T5_unconstrained"}
-_SINGLE_T = {"T2i", "T2ii", "T4i", "T4ii", "T6"}
-_SAME_STRUCTURE = {"C1i", "C1ii", "C3i", "C3ii", "C5"}
-_INTERMEDIATES = {"C2i", "C2ii", "C4i", "C4ii", "C6"}
 
 
 @dataclass(frozen=True)
@@ -212,51 +208,164 @@ def t7_ratio_monotone(
     )
 
 
+# -- scenario documents ----------------------------------------------------------
+
+_SCENARIO_KEYS = {
+    "baseline", "model_variant", "common_param", "matrix_a",
+    "chain", "matrix_b", "grid", "theorem_id", "group_sizes",
+}
+_REQUIRED_KEYS = ("baseline", "model_variant", "common_param", "matrix_a")
+_MATRIX_KEYS = ("p", "theta")
+_CHAIN_KEYS = ("omega", "permutation")
+_GRID_KEYS = {"points", "t_min", "t_max"}
+
+
+def _require_keys(doc: dict, allowed, where: str, required=()) -> None:
+    for key in doc:
+        if key not in allowed:
+            raise ScenarioParseError(f"unknown key {key!r} in {where}")
+    for key in required:
+        if key not in doc:
+            raise ScenarioParseError(f"missing key {key!r} in {where}")
+
+
+def _parse_matrix(doc, where: str) -> ParameterMatrix:
+    if not isinstance(doc, dict):
+        raise ScenarioParseError(f"{where} must be an object with keys 'p' and 'theta'")
+    _require_keys(doc, _MATRIX_KEYS, where, _MATRIX_KEYS)
+    return ParameterMatrix(tuple(doc["p"]), tuple(doc["theta"]))
+
+
+def scenario_from_dict(doc: dict, grid_points: int) -> tuple[str | None, Scenario]:
+    """The proposition id (or None) and the Scenario of a parsed JSON document.
+
+    Unknown keys are rejected by name.  The grid has ``grid_points`` points on
+    ``[1e-4, 1-1e-4]`` unless the document's ``grid`` object pins it.
+    """
+    try:
+        if not isinstance(doc, dict):
+            raise ScenarioParseError("scenario document must be a JSON object")
+        _require_keys(doc, _SCENARIO_KEYS, "scenario", _REQUIRED_KEYS)
+        if "chain" not in doc and "matrix_b" not in doc:
+            raise ScenarioParseError("scenario needs key 'chain' or key 'matrix_b'")
+
+        baseline_doc = doc["baseline"]
+        if not isinstance(baseline_doc, dict):
+            raise ScenarioParseError("key 'baseline' must be an object")
+        _require_keys(baseline_doc, {"kind", "params"}, "baseline")
+        if "kind" not in baseline_doc or "params" not in baseline_doc:
+            raise ScenarioParseError("baseline needs keys 'kind' and 'params'")
+        baseline = make_baseline(baseline_doc["kind"], **baseline_doc["params"])
+
+        chain = None
+        if "chain" in doc:
+            parsed = []
+            for i, entry in enumerate(doc["chain"]):
+                _require_keys(entry, _CHAIN_KEYS, f"chain[{i}]", _CHAIN_KEYS)
+                parsed.append(TTransform(omega=float(entry["omega"]),
+                                         permutation=tuple(entry["permutation"])))
+            chain = tuple(parsed)
+
+        matrix_b = _parse_matrix(doc["matrix_b"], "matrix_b") if "matrix_b" in doc else None
+
+        grid_doc = doc.get("grid", {})
+        _require_keys(grid_doc, _GRID_KEYS, "grid")
+        grid = default_grid(
+            points=int(grid_doc.get("points", grid_points)),
+            t_min=float(grid_doc.get("t_min", 1e-4)),
+            t_max=float(grid_doc.get("t_max", 1.0 - 1e-4)),
+        )
+
+        theorem_id = doc.get("theorem_id")
+        if theorem_id is not None and theorem_id not in THEOREM_IDS:
+            raise ScenarioParseError(f"unknown value for key 'theorem_id': {theorem_id!r}")
+
+        group_sizes = doc.get("group_sizes")
+        return theorem_id, Scenario(
+            baseline=baseline,
+            variant=doc["model_variant"],
+            common_param=float(doc["common_param"]),
+            matrix_a=_parse_matrix(doc["matrix_a"], "matrix_a"),
+            chain=chain,
+            matrix_b=matrix_b,
+            grid=grid,
+            group_sizes=tuple(int(g) for g in group_sizes) if group_sizes else None,
+        )
+    except (TypeError, ValueError) as exc:
+        if isinstance(exc, ParameterError):
+            raise
+        raise ScenarioParseError(f"malformed scenario value: {exc}") from exc
+
+
+def scenario_to_dict(s: Scenario, theorem_id: str | None = None) -> dict:
+    """Serialize a Scenario back to its JSON document form."""
+    doc: dict = {
+        "baseline": {"kind": s.baseline.kind, "params": s.baseline.params()},
+        "model_variant": s.variant,
+        "common_param": s.common_param,
+        "matrix_a": {"p": list(s.matrix_a.top_row), "theta": list(s.matrix_a.bottom_row)},
+    }
+    if s.chain is not None:
+        doc["chain"] = [
+            {"omega": t.omega, "permutation": list(t.permutation)} for t in s.chain
+        ]
+    if s.matrix_b is not None:
+        doc["matrix_b"] = {"p": list(s.matrix_b.top_row), "theta": list(s.matrix_b.bottom_row)}
+    t = s.grid.t_values
+    doc["grid"] = {"points": len(s.grid), "t_min": float(t[0]), "t_max": float(t[-1])}
+    if s.group_sizes is not None:
+        doc["group_sizes"] = list(s.group_sizes)
+    if theorem_id is not None:
+        doc["theorem_id"] = theorem_id
+    return doc
+
+
+def bundled_scenario_path(k: int) -> Path:
+    """Filesystem path of the bundled example scenario file."""
+    if k not in EXAMPLE_IDS:
+        raise ParameterError(f"example id must be in {EXAMPLE_IDS}, got {k!r}")
+    return Path(str(resources.files("mixorder").joinpath(f"scenarios/example{k}.json")))
+
+
 # -- hypothesis helpers --------------------------------------------------------
 
 
-def _hyp_chain(s: Scenario, theorem_id: str) -> list[HypothesisCheck]:
-    checks: list[HypothesisCheck] = []
+def _hyp_chain(s: Scenario, spec: PropositionSpec) -> list[HypothesisCheck]:
     if s.chain is None:
-        checks.append(HypothesisCheck(
+        return [HypothesisCheck(
             "chain_majorization_witness", False,
             "not verifiable: scenario provides matrix_b without a transform chain",
-        ))
-        return checks
-    b = s.resolved_matrix_b()
-    ok = verify_chain_witness(s.matrix_a, b, s.chain)
-    checks.append(HypothesisCheck(
+        )]
+    ok = verify_chain_witness(s.matrix_a, s.resolved_matrix_b(), s.chain)
+    checks = [HypothesisCheck(
         "chain_majorization_witness", ok,
         f"chain of {len(s.chain)} transform(s) reproduces matrix_b" if ok
         else "chain does not reproduce matrix_b within 1e-9",
-    ))
-    if theorem_id in _SINGLE_T:
+    )]
+    if spec.chain == "single":
         checks.append(HypothesisCheck(
-            "single_t_transform", len(s.chain) == 1,
-            f"chain length {len(s.chain)}",
+            "single_t_transform", len(s.chain) == 1, f"chain length {len(s.chain)}",
         ))
-    if theorem_id in _SAME_STRUCTURE:
+    elif spec.chain == "same":
         ok = len(s.chain) > 0 and same_structure(s.chain)
         checks.append(HypothesisCheck(
             "same_structure_chain", ok,
             "all transforms share one permutation" if ok else "permutations differ",
         ))
-    if theorem_id in _INTERMEDIATES:
+    elif spec.chain == "intermediates":
         checks.append(HypothesisCheck(
-            "chain_length_at_least_two", len(s.chain) >= 2,
-            f"chain length {len(s.chain)}",
+            "chain_length_at_least_two", len(s.chain) >= 2, f"chain length {len(s.chain)}",
         ))
-        space = "K" if theorem_id in ("C2i", "C4i", "C6") else "L"
         inter_ok = True
         detail = []
         m = s.matrix_a
         for i, t in enumerate(s.chain[:-1], start=1):
             m = apply_chain(m, [t])
-            member = in_space(m, space)
+            member = in_space(m, spec.space)
             inter_ok &= member
-            detail.append(f"A*T1..T{i} in {space}: {member}")
+            detail.append(f"A*T1..T{i} in {spec.space}: {member}")
         checks.append(HypothesisCheck(
-            f"intermediates_in_{space}", inter_ok, "; ".join(detail) or "no intermediates",
+            f"intermediates_in_{spec.space}", inter_ok, "; ".join(detail) or "no intermediates",
         ))
     return checks
 
@@ -269,35 +378,25 @@ def _hyp_space(s: Scenario, space: str) -> HypothesisCheck:
     )
 
 
-def _hyp_side_alpha(model: MixtureModel, grid: EvaluationGrid) -> HypothesisCheck:
-    """For i<j: alpha_j * p_i * S_i(x) >= alpha_i * p_j * S_j(x) on the grid."""
-    terms = model._terms(model.baseline.log_survival(grid.x_values))
-    comp = terms.components()
-    p = np.asarray(model.weights)
-    a = np.asarray(model.alphas)
-    worst = 0.0
-    for i in range(model.n_components):
-        for j in range(i + 1, model.n_components):
-            gap = a[j] * p[i] * comp[i] - a[i] * p[j] * comp[j]
-            worst = max(worst, float(np.max(-gap)))
-    ok = worst <= _SIDE_TOL
-    return HypothesisCheck(
-        "tilt_weighted_survival_ordering", ok, f"worst pointwise deficit {worst:.3e}"
-    )
+def _hyp_side(model: MixtureModel, grid: EvaluationGrid, side: str) -> HypothesisCheck:
+    """Part (ii)'s ordering of the components on the grid, for every i < j.
 
-
-def _hyp_side_lambda(model: MixtureModel, grid: EvaluationGrid) -> HypothesisCheck:
-    """For i<j: p_i*S_i(x)/(1-(1-alpha)*z_i) >= p_j*S_j(x)/(1-(1-alpha)*z_j)."""
+    ``alpha``: alpha_j * p_i * S_i(x) >= alpha_i * p_j * S_j(x).
+    ``lambda``: p_i*S_i(x)/(1-(1-alpha)*z_i) >= p_j*S_j(x)/(1-(1-alpha)*z_j).
+    """
     terms = model._terms(model.baseline.log_survival(grid.x_values))
-    comp = terms.w * terms.a * terms.z / terms.m**2
-    worst = 0.0
-    for i in range(model.n_components):
-        for j in range(i + 1, model.n_components):
-            worst = max(worst, float(np.max(comp[j] - comp[i])))
-    ok = worst <= _SIDE_TOL
-    return HypothesisCheck(
-        "weighted_odds_ordering", ok, f"worst pointwise deficit {worst:.3e}"
-    )
+    n = model.n_components
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    if side == "alpha":
+        name = "tilt_weighted_survival_ordering"
+        comp, p, a = terms.components(), model.weights, model.alphas
+        deficits = [-(a[j] * p[i] * comp[i] - a[i] * p[j] * comp[j]) for i, j in pairs]
+    else:
+        name = "weighted_odds_ordering"
+        comp = terms.w * terms.a * terms.z / terms.m**2
+        deficits = [comp[j] - comp[i] for i, j in pairs]
+    worst = max([0.0] + [float(np.max(d)) for d in deficits])
+    return HypothesisCheck(name, worst <= _SIDE_TOL, f"worst pointwise deficit {worst:.3e}")
 
 
 def _hyp_products_equal(s: Scenario) -> HypothesisCheck:
@@ -312,8 +411,7 @@ def _hyp_products_equal(s: Scenario) -> HypothesisCheck:
     )
 
 
-def _hyp_positive_hazard(s: Scenario) -> HypothesisCheck:
-    r = np.asarray(s.baseline.hazard(s.grid.x_values))
+def _hyp_positive_hazard(r: np.ndarray) -> HypothesisCheck:
     ok = bool(np.all(np.isfinite(r)) and np.all(r > 0))
     return HypothesisCheck("baseline_hazard_positive", ok, f"min hazard {float(np.min(r)):.3e}")
 
@@ -367,264 +465,218 @@ def _hyp_two_group(s: Scenario) -> list[HypothesisCheck]:
     return checks
 
 
-# -- proposition dispatch --------------------------------------------------------
+# -- search samplers: (rng, omega) -> (common_param, matrix_a, chain) -------------
 
 
-def _inconclusive_verdict(reason: str) -> OrderVerdict:
-    return OrderVerdict(
-        holds_leq=False, holds_geq=False,
-        max_violation_leq=float("nan"), max_violation_geq=float("nan"),
-        witness_t=float("nan"), inconclusive=True, reason=reason,
-    )
+def _sample_k2(rng, omega, common=(0.1, 2.0), params=(0.05, 1.0)):
+    """A in K_2 (weights and parameters oppositely ordered), one swap transform."""
+    c = rng.uniform(*common)
+    p1 = rng.uniform(0.05, 0.95)
+    while True:
+        v1, v2 = rng.uniform(*params, size=2)
+        if (p1 - (1 - p1)) * (v1 - v2) <= 0:
+            break
+    return c, ParameterMatrix((p1, 1 - p1), (v1, v2)), (TTransform(omega, (1, 0)),)
+
+
+def _sample_balanced_k2(rng, omega):
+    """Equal weight*tilt products, which force A into K_2, one swap transform."""
+    lam = rng.uniform(0.1, 2.0)
+    while True:
+        p1 = rng.uniform(0.05, 0.95)
+        a1 = rng.uniform(0.05, 1.0)
+        a2 = p1 * a1 / (1 - p1)
+        if 0.0 < a2 <= 1.0:
+            break
+    return lam, ParameterMatrix((p1, 1 - p1), (a1, a2)), (TTransform(omega, (1, 0)),)
+
+
+def _sample_balanced_k3(rng, omega):
+    """Equal weight*tilt products over three components, one random transform."""
+    lam = rng.uniform(0.1, 2.0)
+    while True:
+        w = rng.dirichlet(np.ones(3))
+        tilts = rng.uniform(0.2, 0.95) * w.min() / w
+        if np.all((0 < tilts) & (tilts <= 1.0)) and np.all(w > 0.02):
+            break
+    perm = ((1, 0, 2), (0, 2, 1), (2, 1, 0))[int(rng.integers(0, 3))]
+    return lam, ParameterMatrix(tuple(w), tuple(tilts)), (TTransform(omega, perm),)
+
+
+# -- the proposition table ---------------------------------------------------------
+
+
+_ASSERTED = {
+    ("st", "leq"): "model A below model B in the usual stochastic order (A <=st B)",
+    ("st", "geq"): "model A above model B in the usual stochastic order (A >=st B)",
+    ("hr", "leq"): (
+        "hazard of model A dominates model B pointwise (survival ratio S_B/S_A nondecreasing)"
+    ),
+    ("star", "geq"): "model A dominates model B in the star order (A >=star B)",
+    ("lorenz", "geq"): "model A dominates model B in the Lorenz order (A >=lorenz B)",
+}
+
+
+@dataclass(frozen=True)
+class PropositionSpec:
+    """One proposition: the scenario it takes, its hypotheses and its conclusion.
+
+    Hypotheses are reported in field order: the chain witness with the extra
+    ``chain`` check (``single``, ``same`` or ``intermediates`` in ``space``),
+    A in ``space``, ``side``, ``balance`` and ``positive_hazard``; a
+    ``two_group`` proposition reports the two-group conditions instead.
+    """
+
+    variant: str
+    two_by_two: bool
+    order: str
+    direction: str
+    chain: str = ""
+    space: str = "K"
+    side: str = ""
+    balance: bool = False
+    positive_hazard: bool = False
+    two_group: bool = False
+    notes: tuple[str, ...] = ()
+    sampler: Callable | None = None
+
+    @property
+    def asserted(self) -> str:
+        return _ASSERTED[self.order, self.direction]
+
+
+_IN_K = ("intermediate products are required to remain in K_n",)
+_IN_L = ("intermediate products are required to remain in L_n",)
+_PROBE = ("weight*tilt balance deliberately dropped (necessity probe)",)
+_A, _L = "vary_alpha", "vary_lambda"
+_sample_k2_lam = partial(_sample_k2, common=(0.05, 0.95), params=(0.1, 3.0))
+
+PROPOSITIONS: dict[str, PropositionSpec] = {
+    # id:  (variant, 2x2, order, direction, chain, space, side, balance, positive_hazard)
+    # usual stochastic order, vary-tilt: part (i) A <=st B, part (ii) A >=st B
+    "T1i": PropositionSpec(_A, True, "st", "leq", sampler=_sample_k2),
+    "T1ii": PropositionSpec(_A, True, "st", "geq", "", "L", "alpha"),
+    "T2i": PropositionSpec(_A, False, "st", "leq", "single"),
+    "T2ii": PropositionSpec(_A, False, "st", "geq", "single", "L", "alpha"),
+    "C1i": PropositionSpec(_A, False, "st", "leq", "same"),
+    "C1ii": PropositionSpec(_A, False, "st", "geq", "same", "L", "alpha"),
+    "C2i": PropositionSpec(_A, False, "st", "leq", "intermediates", notes=_IN_K),
+    "C2ii": PropositionSpec(_A, False, "st", "geq", "intermediates", "L", "alpha", notes=_IN_L),
+    # usual stochastic order, vary-rate-power: the directions flip
+    "T3i": PropositionSpec(_L, True, "st", "geq", sampler=_sample_k2_lam),
+    "T3ii": PropositionSpec(_L, True, "st", "leq", "", "L", "lambda"),
+    "T4i": PropositionSpec(_L, False, "st", "geq", "single"),
+    "T4ii": PropositionSpec(_L, False, "st", "leq", "single", "L", "lambda"),
+    "C3i": PropositionSpec(_L, False, "st", "geq", "same"),
+    "C3ii": PropositionSpec(_L, False, "st", "leq", "same", "L", "lambda"),
+    "C4i": PropositionSpec(_L, False, "st", "geq", "intermediates", notes=_IN_K),
+    "C4ii": PropositionSpec(_L, False, "st", "leq", "intermediates", "L", "lambda", notes=_IN_L),
+    # hazard dominance of model A under equal weight*tilt products
+    "T5": PropositionSpec(
+        _A, True, "hr", "leq", "", "K", "", True, True, sampler=_sample_balanced_k2
+    ),
+    # a pseudo-id: T5 with the balance dropped, probing its necessity
+    "T5_unconstrained": PropositionSpec(
+        _A, True, "hr", "leq", "", "K", "", False, True, notes=_PROBE, sampler=_sample_k2
+    ),
+    # searchable for its genuine three-component counterexamples
+    "T6": PropositionSpec(
+        _A, False, "hr", "leq", "single", "K", "", True, True, sampler=_sample_balanced_k3
+    ),
+    "C5": PropositionSpec(_A, False, "hr", "leq", "same", "K", "", True, True),
+    "C6": PropositionSpec(_A, False, "hr", "leq", "intermediates", "K", "", True, True),
+    # star and Lorenz dominance of model A, two-group vary-tilt mixtures
+    "T7": PropositionSpec(_A, False, "star", "geq", two_group=True),
+    "C7": PropositionSpec(_A, False, "lorenz", "geq", two_group=True),
+}
+
+# the paper's propositions; T5_unconstrained is a search-only probe
+THEOREM_IDS = tuple(k for k in PROPOSITIONS if k != "T5_unconstrained")
+SEARCHABLE_IDS = tuple(k for k, spec in PROPOSITIONS.items() if spec.sampler is not None)
+
+
+# -- proposition check ---------------------------------------------------------------
+
+# errors that leave a star or Lorenz conclusion undecided
+_UNDECIDED = {"star": (TailError, NumericalError), "lorenz": (InfiniteMeanSuspected, TailError)}
+
+
+def _conclusion(order: str, a: MixtureModel, b: MixtureModel, grid, hazard) -> OrderVerdict:
+    try:
+        if order == "st":
+            return check_st(a, b, grid)
+        if order == "hr":
+            return _check_hr(a, b, grid, hazard)
+        if order == "star":
+            return check_star(a, b, grid)
+        return check_lorenz(a, b)
+    except _UNDECIDED.get(order, ()) as exc:
+        return _undecided(str(exc))
 
 
 def check_theorem(theorem_id: str, s: Scenario) -> TheoremReport:
     """Evaluate the hypotheses and conclusion of one proposition on a scenario.
 
-    Raises ``ShapeError`` when the scenario arity does not match the
-    proposition; an inconclusive order check yields an inconclusive report.
+    Everything is read from the id's row in ``PROPOSITIONS``.  Raises
+    ``ShapeError`` when the scenario arity does not match the proposition; an
+    inconclusive order check yields an inconclusive report.
     """
-    if theorem_id not in THEOREM_IDS and theorem_id not in SEARCHABLE_IDS:
+    spec = PROPOSITIONS.get(theorem_id) if isinstance(theorem_id, str) else None
+    if spec is None:
         raise ParameterError(f"unknown theorem id {theorem_id!r}")
-    n = s.matrix_a.n
-    if theorem_id in _TWO_BY_TWO and n != 2:
-        raise ShapeError(f"{theorem_id} applies to 2x2 matrices, got width {n}")
-
-    notes: list[str] = []
-    hypotheses: list[HypothesisCheck] = []
-
-    if theorem_id in _ST_ALPHA or theorem_id in _HR_FAMILY or theorem_id in ("T7", "C7"):
-        expected_variant = "vary_alpha"
-    else:
-        expected_variant = "vary_lambda"
-    if s.variant != expected_variant:
-        raise ParameterError(
-            f"{theorem_id} needs a {expected_variant} scenario, got {s.variant}"
-        )
+    if spec.two_by_two and s.matrix_a.n != 2:
+        raise ShapeError(f"{theorem_id} applies to 2x2 matrices, got width {s.matrix_a.n}")
+    if s.variant != spec.variant:
+        raise ParameterError(f"{theorem_id} needs a {spec.variant} scenario, got {s.variant}")
     model_a, model_b = s.model_a(), s.model_b()
 
-    if theorem_id in ("T7", "C7"):
+    hazard = None
+    if spec.two_group:
         hypotheses = _hyp_two_group(s)
-        if theorem_id == "T7":
-            asserted = "model A dominates model B in the star order (A >=star B)"
-            try:
-                conclusion = check_star(model_a, model_b, s.grid)
-            except (TailError, NumericalError) as exc:
-                conclusion = _inconclusive_verdict(str(exc))
-            holds = conclusion.holds_geq
-        else:
-            asserted = "model A dominates model B in the Lorenz order (A >=lorenz B)"
-            try:
-                conclusion = check_lorenz(model_a, model_b)
-            except (InfiniteMeanSuspected, TailError) as exc:
-                conclusion = _inconclusive_verdict(str(exc))
-            holds = conclusion.holds_geq
-    elif theorem_id in _HR_FAMILY:
-        hypotheses = _hyp_chain(s, "T5" if theorem_id == "T5_unconstrained" else theorem_id)
-        hypotheses.append(_hyp_space(s, "K"))
-        if theorem_id == "T5_unconstrained":
-            notes.append("weight*tilt balance deliberately dropped (necessity probe)")
-        else:
-            hypotheses.append(_hyp_products_equal(s))
-        hypotheses.append(_hyp_positive_hazard(s))
-        asserted = (
-            "hazard of model A dominates model B pointwise "
-            "(survival ratio S_B/S_A nondecreasing)"
-        )
-        conclusion = check_hr(model_a, model_b, s.grid)
-        holds = conclusion.holds_leq
     else:
-        # usual stochastic order families
-        part_two = theorem_id.endswith("ii")
-        space = "L" if part_two else "K"
-        hypotheses = _hyp_chain(s, theorem_id)
-        hypotheses.append(_hyp_space(s, space))
-        if part_two:
-            hypotheses.append(
-                _hyp_side_alpha(model_a, s.grid) if theorem_id in _ST_ALPHA
-                else _hyp_side_lambda(model_a, s.grid)
-            )
-        if theorem_id in _INTERMEDIATES:
-            notes.append(
-                f"intermediate products are required to remain in "
-                f"{'K' if not part_two else 'L'}_n"
-            )
-        conclusion = check_st(model_a, model_b, s.grid)
-        if theorem_id in _ST_ALPHA:
-            a_below = not part_two  # part (i): A below B; part (ii): A above B
-        else:
-            a_below = part_two  # vary-rate-power: part (i) puts A above B
-        if a_below:
-            asserted = "model A below model B in the usual stochastic order (A <=st B)"
-            holds = conclusion.holds_leq
-        else:
-            asserted = "model A above model B in the usual stochastic order (A >=st B)"
-            holds = conclusion.holds_geq
+        hypotheses = _hyp_chain(s, spec) + [_hyp_space(s, spec.space)]
+        if spec.side:
+            hypotheses.append(_hyp_side(model_a, s.grid, spec.side))
+        if spec.balance:
+            hypotheses.append(_hyp_products_equal(s))
+        if spec.positive_hazard:
+            # one evaluation serves the hypothesis and the hazard-rate check
+            hazard = np.asarray(s.baseline.hazard(s.grid.x_values))
+            hypotheses.append(_hyp_positive_hazard(hazard))
 
-    all_hyp = all(h.satisfied for h in hypotheses)
+    conclusion = _conclusion(spec.order, model_a, model_b, s.grid, hazard)
+    holds = getattr(conclusion, f"holds_{spec.direction}")
     inconclusive = conclusion.inconclusive
-    consistent = not (all_hyp and not holds and not inconclusive)
     return TheoremReport(
         theorem_id=theorem_id,
         hypotheses=tuple(hypotheses),
         conclusion=conclusion,
-        asserted=asserted,
+        asserted=spec.asserted,
         conclusion_holds=bool(holds and not inconclusive),
-        consistent=consistent,
+        consistent=not (all(h.satisfied for h in hypotheses) and not holds and not inconclusive),
         inconclusive=inconclusive,
-        notes=tuple(notes),
+        notes=spec.notes,
     )
 
 
 # -- bundled reference scenarios ---------------------------------------------
 
 
-EXAMPLE_IDS = (1, 2, 3, 4, 5, 6, 7)
-
-_SWAP12_3 = (0, 2, 1)  # mix entries 2 and 3 of a 3-vector
-_SWAP01_3 = (1, 0, 2)
-_SWAP02_3 = (2, 1, 0)
-
-_EXAMPLES: dict[int, dict] = {
-    1: dict(
-        theorem="T1i", baseline=("exponential", {"a": 0.2}), variant="vary_alpha",
-        common=0.1, top=(0.6, 0.4), bottom=(0.3, 0.4),
-        chain=((0.4, (1, 0)),),
-    ),
-    2: dict(
-        theorem="C1i", baseline=("exponential", {"a": 2.0}), variant="vary_alpha",
-        common=0.2, top=(0.2, 0.3, 0.5), bottom=(0.5, 0.3, 0.1),
-        chain=((0.4, _SWAP12_3), (0.2, _SWAP12_3)),
-    ),
-    3: dict(
-        theorem="C2i", baseline=("exponential", {"a": 3.0}), variant="vary_alpha",
-        common=0.2, top=(0.1, 0.4, 0.5), bottom=(0.7, 0.5, 0.3),
-        chain=((0.3, _SWAP12_3), (0.4, _SWAP01_3), (0.1, _SWAP02_3)),
-    ),
-    4: dict(
-        theorem="T3i", baseline=("exponential", {"a": 2.0}), variant="vary_lambda",
-        common=0.2, top=(0.2, 0.8), bottom=(0.5, 0.25),
-        chain=((0.3, (1, 0)),),
-    ),
-    5: dict(
-        theorem="C3i", baseline=("exponential", {"a": 0.2}), variant="vary_lambda",
-        common=0.2, top=(0.5, 0.4, 0.1), bottom=(3.0, 4.0, 5.0),
-        chain=((0.4, _SWAP12_3), (0.2, _SWAP12_3)),
-    ),
-    6: dict(
-        theorem="T5", baseline=("exponential", {"a": 3.0}), variant="vary_alpha",
-        common=0.2, top=(0.3, 0.7), bottom=(0.7, 0.3),
-        chain=((0.9, (1, 0)),),
-    ),
-    7: dict(
-        theorem="T7", baseline=("power_burr", {"a": 0.2, "b": 0.5}), variant="vary_alpha",
-        common=0.1,
-        top=(0.3, 0.3, 0.3, 0.05, 0.05), bottom=(8.0, 8.0, 8.0, 2.0, 2.0),
-        b_top=(0.3, 0.3, 0.3, 0.05, 0.05), b_bottom=(6.0, 6.0, 6.0, 3.0, 3.0),
-        group_sizes=(3, 2),
-    ),
-}
-
-
 def example_scenario(k: int, grid_points: int | None = None) -> tuple[str, Scenario]:
-    """The k-th bundled reference scenario and its proposition id."""
-    if k not in _EXAMPLES:
-        raise ParameterError(f"example id must be in {EXAMPLE_IDS}, got {k!r}")
-    entry = _EXAMPLES[k]
-    kind, params = entry["baseline"]
-    grid = default_grid() if grid_points is None else default_grid(grid_points)
-    chain = None
-    matrix_b = None
-    if "chain" in entry:
-        chain = tuple(TTransform(omega=o, permutation=perm) for o, perm in entry["chain"])
-    else:
-        matrix_b = ParameterMatrix(entry["b_top"], entry["b_bottom"])
-    scenario = Scenario(
-        baseline=make_baseline(kind, **params),
-        variant=entry["variant"],
-        common_param=entry["common"],
-        matrix_a=ParameterMatrix(entry["top"], entry["bottom"]),
-        chain=chain,
-        matrix_b=matrix_b,
-        grid=grid,
-        group_sizes=entry.get("group_sizes"),
-    )
-    return entry["theorem"], scenario
+    """The k-th bundled reference scenario (``scenarios/example{k}.json``) and its id.
+
+    The grid has 2001 points unless ``grid_points`` is given.
+    """
+    doc = json.loads(bundled_scenario_path(k).read_text(encoding="utf-8"))
+    return scenario_from_dict(doc, 2001 if grid_points is None else grid_points)
 
 
 def verify_example(k: int, grid_points: int | None = None) -> TheoremReport:
     """Run the k-th bundled reference scenario through its proposition checker."""
-    theorem_id, scenario = example_scenario(k, grid_points)
-    return check_theorem(theorem_id, scenario)
+    return check_theorem(*example_scenario(k, grid_points))
 
 
 # -- counterexample search -----------------------------------------------------
-
-
-def _sample_scenario(theorem_id: str, rng: np.random.Generator, grid: EvaluationGrid) -> Scenario:
-    baseline = make_baseline("exponential", a=rng.uniform(0.2, 3.0))
-    omega = rng.uniform(0.05, 0.95)
-    chain = (TTransform(omega=omega, permutation=(1, 0)),)
-    if theorem_id == "T1i":
-        lam = rng.uniform(0.1, 2.0)
-        p1 = rng.uniform(0.05, 0.95)
-        while True:
-            a1, a2 = rng.uniform(0.05, 1.0, size=2)
-            if (p1 - (1 - p1)) * (a1 - a2) <= 0:
-                break
-        return Scenario(
-            baseline=baseline, variant="vary_alpha", common_param=lam,
-            matrix_a=ParameterMatrix((p1, 1 - p1), (a1, a2)), chain=chain, grid=grid,
-        )
-    if theorem_id == "T3i":
-        alpha = rng.uniform(0.05, 0.95)
-        p1 = rng.uniform(0.05, 0.95)
-        while True:
-            l1, l2 = rng.uniform(0.1, 3.0, size=2)
-            if (p1 - (1 - p1)) * (l1 - l2) <= 0:
-                break
-        return Scenario(
-            baseline=baseline, variant="vary_lambda", common_param=alpha,
-            matrix_a=ParameterMatrix((p1, 1 - p1), (l1, l2)), chain=chain, grid=grid,
-        )
-    if theorem_id == "T5":
-        lam = rng.uniform(0.1, 2.0)
-        while True:
-            p1 = rng.uniform(0.05, 0.95)
-            a1 = rng.uniform(0.05, 1.0)
-            a2 = p1 * a1 / (1 - p1)  # balance forces opposite ordering of rows
-            if 0.0 < a2 <= 1.0:
-                break
-        return Scenario(
-            baseline=baseline, variant="vary_alpha", common_param=lam,
-            matrix_a=ParameterMatrix((p1, 1 - p1), (a1, a2)), chain=chain, grid=grid,
-        )
-    if theorem_id == "T5_unconstrained":
-        lam = rng.uniform(0.1, 2.0)
-        p1 = rng.uniform(0.05, 0.95)
-        while True:
-            a1, a2 = rng.uniform(0.05, 1.0, size=2)
-            if (p1 - (1 - p1)) * (a1 - a2) <= 0:
-                break
-        return Scenario(
-            baseline=baseline, variant="vary_alpha", common_param=lam,
-            matrix_a=ParameterMatrix((p1, 1 - p1), (a1, a2)), chain=chain, grid=grid,
-        )
-    if theorem_id == "T6":
-        lam = rng.uniform(0.1, 2.0)
-        while True:
-            w = rng.dirichlet(np.ones(3))
-            # equal weight*tilt products force opposite row ordering (K_3)
-            tilts = rng.uniform(0.2, 0.95) * w.min() / w
-            if np.all((0 < tilts) & (tilts <= 1.0)) and np.all(w > 0.02):
-                break
-        perms = ((1, 0, 2), (0, 2, 1), (2, 1, 0))
-        t3 = TTransform(omega=omega, permutation=perms[int(rng.integers(0, 3))])
-        return Scenario(
-            baseline=baseline, variant="vary_alpha", common_param=lam,
-            matrix_a=ParameterMatrix(tuple(w), tuple(tilts)), chain=(t3,), grid=grid,
-        )
-    raise ParameterError(f"theorem id {theorem_id!r} is not searchable; use one of {SEARCHABLE_IDS}")
 
 
 def search_counterexamples(
@@ -643,11 +695,14 @@ def search_counterexamples(
         raise ParameterError(f"theorem id {theorem_id!r} is not searchable; use one of {SEARCHABLE_IDS}")
     if not isinstance(trials, (int, np.integer)) or trials < 1:
         raise ParameterError(f"trials must be a positive integer, got {trials!r}")
+    spec = PROPOSITIONS[theorem_id]
     grid = default_grid() if grid_points is None else default_grid(grid_points)
     findings: list[TheoremReport] = []
     for trial in range(int(trials)):
         rng = np.random.default_rng((int(seed), trial))
-        scenario = _sample_scenario(theorem_id, rng, grid)
+        baseline = make_baseline("exponential", a=rng.uniform(0.2, 3.0))
+        omega = rng.uniform(0.05, 0.95)
+        scenario = Scenario(baseline, spec.variant, *spec.sampler(rng, omega), grid=grid)
         report = check_theorem(theorem_id, scenario)
         if not report.consistent:
             tag = (

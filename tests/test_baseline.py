@@ -1,5 +1,7 @@
 import math
+import warnings
 
+import mpmath as mp
 import numpy as np
 import pytest
 
@@ -147,3 +149,27 @@ def test_survival_underflow_returns_zero():
     d = Exponential(rate=3.0)
     assert d.survival(1e4) == 0.0
     assert np.isfinite(d.log_survival(1e4))
+
+
+def test_power_burr_far_tail_without_overflow():
+    # x**a overflows at x = 1e200 for a = 1.7; references in 50-digit arithmetic
+    d = PowerBurr(1.7, 0.6)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        logs, r = d.log_survival(1e200), d.hazard(1e200)
+        assert np.all(np.isfinite(d.log_survival(np.array([0.0, 1.0, 1e200, 1e308]))))
+    with mp.workdps(50):
+        x, a, b = mp.mpf(1e200), mp.mpf(1.7), mp.mpf(0.6)
+        want_logs = float(-b * mp.log1p(x**a))
+        want_r = float(a * b * x ** (a - 1) / (1 + x**a))
+    assert want_logs == pytest.approx(-469.727358971, rel=1e-12)
+    assert logs == pytest.approx(want_logs, rel=1e-14)
+    assert r == pytest.approx(want_r, rel=1e-14) and r == pytest.approx(1.02e-200, rel=1e-12)
+
+
+def test_power_burr_keeps_its_bits_where_the_power_is_finite():
+    d = PowerBurr(1.7, 0.6)
+    x = np.geomspace(1e-300, 1e180, 2001)
+    a, b = d.shape_a, d.shape_b
+    assert np.array_equal(d.log_survival(x), -b * np.log1p(x**a))
+    assert np.array_equal(d.hazard(x), a * b * x ** (a - 1.0) / (1.0 + x**a))

@@ -15,7 +15,9 @@ from mixorder import (
     check_lorenz,
     check_st,
     check_star,
+    check_theorem,
     default_grid,
+    example_scenario,
     h_hr,
     h_pa,
     h_plambda,
@@ -155,6 +157,14 @@ class TestSharedKernel:
         check_hr(a, b, grid_default)
         assert calls == {"log_survival": 1, "hazard": 1}
 
+    def test_hr_proposition_evaluates_the_hazard_once(self, monkeypatch):
+        # the baseline_hazard_positive hypothesis and the hr check share one evaluation
+        tid, s = example_scenario(6)
+        calls = self.count_baseline_calls(monkeypatch, Exponential)
+        report = check_theorem(tid, s)
+        assert calls == {"log_survival": 1, "hazard": 1}
+        assert report.conclusion.hazard_holds_leq is not None
+
     def test_distinct_baselines_evaluated_per_model(self, monkeypatch, grid_default):
         a = MixtureModel.vary_alpha(Exponential(3.0), 0.2, [(0.3, 0.7), (0.7, 0.3)])
         b = MixtureModel.vary_alpha(Exponential(2.0), 0.2, [(0.3, 0.7), (0.7, 0.3)])
@@ -209,6 +219,17 @@ class TestCheckStar:
         m = degenerate(alpha=0.7, lam=0.9)
         v = check_star(m, m, default_grid(201, 1e-3, 0.99))
         assert v.holds_leq and v.holds_geq
+
+    @pytest.mark.parametrize("k", range(1, 8))
+    def test_identical_models_down_to_tiny_cdf_levels(self, k):
+        # levels come from the kernel's cancellation-free cdf, not 1 - survival,
+        # so a model compared with itself holds both ways down to t = 1e-12
+        _, s = example_scenario(k)
+        for m in (s.model_a(), s.model_b()):
+            for t_min in (1e-12, 1e-9):
+                v = check_star(m, m, default_grid(2001, t_min, 0.5))
+                assert v.holds_leq and v.holds_geq
+                assert max(v.max_violation_leq, v.max_violation_geq) < 1e-13
 
     def test_scale_family_equivalence(self):
         # exp(1) vs exp(2): the quantile transport is x/2, so both directions hold

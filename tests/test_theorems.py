@@ -6,8 +6,10 @@ from mixorder import (
     ParameterError,
     ParameterMatrix,
     PowerBurr,
+    SEARCHABLE_IDS,
     Scenario,
     ShapeError,
+    THEOREM_IDS,
     TTransform,
     check_theorem,
     default_grid,
@@ -299,3 +301,151 @@ class TestSearch:
         assert a == b
         c = search_counterexamples("T5_unconstrained", 100, seed=8)
         assert len(c) == 0 or c != a
+
+
+# -- the proposition contract, frozen -------------------------------------------------
+
+_W, _SINGLE, _SAME = "chain_majorization_witness", "single_t_transform", "same_structure_chain"
+_LEN = "chain_length_at_least_two"
+_ALPHA_SIDE, _LAMBDA_SIDE = "tilt_weighted_survival_ordering", "weighted_odds_ordering"
+_BALANCE, _HAZARD = "weight_tilt_products_equal", "baseline_hazard_positive"
+_TWO_GROUP = [
+    "survival_deficit_ratio_nonincreasing", "same_mixing_weights", "tilt_interval_nesting",
+    "first_group_weight_not_larger", "group_weighted_tilt_sums_ordered",
+]
+_ST_BELOW = "model A below model B in the usual stochastic order (A <=st B)"
+_ST_ABOVE = "model A above model B in the usual stochastic order (A >=st B)"
+_HR = "hazard of model A dominates model B pointwise (survival ratio S_B/S_A nondecreasing)"
+_STAR = "model A dominates model B in the star order (A >=star B)"
+_LORENZ = "model A dominates model B in the Lorenz order (A >=lorenz B)"
+_NOTE_K = ("intermediate products are required to remain in K_n",)
+_NOTE_L = ("intermediate products are required to remain in L_n",)
+_PROBE = ("weight*tilt balance deliberately dropped (necessity probe)",)
+
+# id: (variant, 2x2 only, hypothesis names in order, asserted, notes)
+CONTRACT = {
+    "T1i": ("vary_alpha", True, [_W, "matrix_a_in_K"], _ST_BELOW, ()),
+    "T1ii": ("vary_alpha", True, [_W, "matrix_a_in_L", _ALPHA_SIDE], _ST_ABOVE, ()),
+    "T2i": ("vary_alpha", False, [_W, _SINGLE, "matrix_a_in_K"], _ST_BELOW, ()),
+    "T2ii": ("vary_alpha", False, [_W, _SINGLE, "matrix_a_in_L", _ALPHA_SIDE], _ST_ABOVE, ()),
+    "C1i": ("vary_alpha", False, [_W, _SAME, "matrix_a_in_K"], _ST_BELOW, ()),
+    "C1ii": ("vary_alpha", False, [_W, _SAME, "matrix_a_in_L", _ALPHA_SIDE], _ST_ABOVE, ()),
+    "C2i": ("vary_alpha", False, [_W, _LEN, "intermediates_in_K", "matrix_a_in_K"],
+            _ST_BELOW, _NOTE_K),
+    "C2ii": ("vary_alpha", False, [_W, _LEN, "intermediates_in_L", "matrix_a_in_L", _ALPHA_SIDE],
+             _ST_ABOVE, _NOTE_L),
+    "T3i": ("vary_lambda", True, [_W, "matrix_a_in_K"], _ST_ABOVE, ()),
+    "T3ii": ("vary_lambda", True, [_W, "matrix_a_in_L", _LAMBDA_SIDE], _ST_BELOW, ()),
+    "T4i": ("vary_lambda", False, [_W, _SINGLE, "matrix_a_in_K"], _ST_ABOVE, ()),
+    "T4ii": ("vary_lambda", False, [_W, _SINGLE, "matrix_a_in_L", _LAMBDA_SIDE], _ST_BELOW, ()),
+    "C3i": ("vary_lambda", False, [_W, _SAME, "matrix_a_in_K"], _ST_ABOVE, ()),
+    "C3ii": ("vary_lambda", False, [_W, _SAME, "matrix_a_in_L", _LAMBDA_SIDE], _ST_BELOW, ()),
+    "C4i": ("vary_lambda", False, [_W, _LEN, "intermediates_in_K", "matrix_a_in_K"],
+            _ST_ABOVE, _NOTE_K),
+    "C4ii": ("vary_lambda", False, [_W, _LEN, "intermediates_in_L", "matrix_a_in_L", _LAMBDA_SIDE],
+             _ST_BELOW, _NOTE_L),
+    "T5": ("vary_alpha", True, [_W, "matrix_a_in_K", _BALANCE, _HAZARD], _HR, ()),
+    "T6": ("vary_alpha", False, [_W, _SINGLE, "matrix_a_in_K", _BALANCE, _HAZARD], _HR, ()),
+    "C5": ("vary_alpha", False, [_W, _SAME, "matrix_a_in_K", _BALANCE, _HAZARD], _HR, ()),
+    "C6": ("vary_alpha", False, [_W, _LEN, "intermediates_in_K", "matrix_a_in_K", _BALANCE, _HAZARD],
+           _HR, ()),
+    "T5_unconstrained": ("vary_alpha", True, [_W, "matrix_a_in_K", _HAZARD], _HR, _PROBE),
+    "T7": ("vary_alpha", False, _TWO_GROUP, _STAR, ()),
+    "C7": ("vary_alpha", False, _TWO_GROUP, _LORENZ, ()),
+}
+
+
+def _contract_scenario(variant: str, width: int, two_group: bool) -> Scenario:
+    common = 0.3 if variant == "vary_alpha" else 0.4
+    grid = default_grid(201)
+    if two_group:
+        return Scenario(
+            baseline=Exponential(1.3), variant=variant, common_param=common,
+            matrix_a=ParameterMatrix((0.3, 0.3, 0.4), (0.9, 0.9, 0.2)),
+            matrix_b=ParameterMatrix((0.3, 0.3, 0.4), (0.7, 0.7, 0.4)),
+            grid=grid, group_sizes=(2, 1),
+        )
+    if width == 2:
+        bottom = (0.3, 0.6) if variant == "vary_alpha" else (0.5, 2.0)
+        return Scenario(
+            baseline=Exponential(1.3), variant=variant, common_param=common,
+            matrix_a=ParameterMatrix((0.6, 0.4), bottom),
+            chain=(TTransform(0.3, (1, 0)),), grid=grid,
+        )
+    bottom = (0.7, 0.5, 0.2) if variant == "vary_alpha" else (3.0, 1.0, 0.5)
+    return Scenario(
+        baseline=Exponential(1.3), variant=variant, common_param=common,
+        matrix_a=ParameterMatrix((0.2, 0.3, 0.5), bottom),
+        chain=(TTransform(0.4, (0, 2, 1)), TTransform(0.2, (1, 0, 2)), TTransform(0.6, (2, 1, 0))),
+        grid=grid,
+    )
+
+
+class TestPropositionContract:
+    def test_contract_covers_every_id(self):
+        assert set(CONTRACT) == set(THEOREM_IDS) | {"T5_unconstrained"}
+        assert len(CONTRACT) == 23
+
+    @pytest.mark.parametrize("tid", sorted(CONTRACT))
+    def test_hypotheses_asserted_and_notes(self, tid):
+        variant, two_by_two, names, asserted, notes = CONTRACT[tid]
+        two_group = tid in ("T7", "C7")
+        report = check_theorem(tid, _contract_scenario(variant, 2 if two_by_two else 3, two_group))
+        assert report.theorem_id == tid
+        assert [h.name for h in report.hypotheses] == names
+        assert report.asserted == asserted
+        assert report.notes == notes
+
+    @pytest.mark.parametrize("tid", sorted(CONTRACT))
+    def test_required_variant(self, tid):
+        variant, two_by_two, *_ = CONTRACT[tid]
+        other = "vary_lambda" if variant == "vary_alpha" else "vary_alpha"
+        s = _contract_scenario(other, 2 if two_by_two else 3, False)
+        with pytest.raises(ParameterError) as exc:
+            check_theorem(tid, s)
+        assert str(exc.value) == f"{tid} needs a {variant} scenario, got {other}"
+
+    @pytest.mark.parametrize("tid", sorted(CONTRACT))
+    def test_arity(self, tid):
+        variant, two_by_two, *_ = CONTRACT[tid]
+        s = _contract_scenario(variant, 3, False)
+        if two_by_two:
+            with pytest.raises(ShapeError) as exc:
+                check_theorem(tid, s)
+            assert str(exc.value) == f"{tid} applies to 2x2 matrices, got width 3"
+        elif tid in ("T7", "C7"):
+            with pytest.raises(ShapeError, match="two-group propositions need explicit group sizes"):
+                check_theorem(tid, s)
+        else:
+            assert check_theorem(tid, s).theorem_id == tid
+
+    def test_matrix_b_scenario_reports_only_the_unverifiable_witness(self):
+        s = _contract_scenario("vary_alpha", 3, True)
+        report = check_theorem("C2ii", s)
+        assert [h.name for h in report.hypotheses] == [_W, "matrix_a_in_L", _ALPHA_SIDE]
+        assert report.notes == _NOTE_L
+
+
+class TestFrozenFindings:
+    """Trial indices of ``search_counterexamples(id, 60, seed=77)``."""
+
+    FINDINGS = {
+        "T1i": [],
+        "T3i": [],
+        "T5": [],
+        "T5_unconstrained": [0, 3, 4, 5, 8, 9, 10, 11, 12, 17, 21, 22, 24, 26, 31, 32, 36, 41,
+                             42, 47, 48, 50, 56],
+        "T6": [0, 1, 4, 5, 7, 10, 17, 22, 24, 27, 31, 33, 35, 37, 39, 40, 41, 43, 45, 51, 52, 57],
+    }
+
+    def test_every_searchable_id_is_frozen(self):
+        assert set(self.FINDINGS) == set(SEARCHABLE_IDS)
+
+    @pytest.mark.parametrize("tid", sorted(FINDINGS))
+    def test_trial_indices(self, tid):
+        trials = []
+        for report in search_counterexamples(tid, 60, seed=77):
+            tags = [n for n in report.notes if n.startswith("search trial ")]
+            assert len(tags) == 1
+            trials.append(int(tags[0].split()[2].rstrip(":")))
+        assert trials == self.FINDINGS[tid]
