@@ -5,10 +5,14 @@ Two concrete families are built in, both supported on (0, inf):
 * ``Exponential(rate=a)``        -- S(x) = exp(-a x)
 * ``PowerBurr(shape_a, shape_b)`` -- S(x) = (1 + x**a) ** (-b)
 
-The abstract surface is deliberately small; mixture and tilt transforms only
-ever touch ``survival`` / ``log_survival`` / ``density`` / ``hazard`` /
-``inverse_survival`` / ``inverse_log_survival`` / ``tail_index``, so further
-baselines can be registered without touching dependent modules.
+A baseline family implements ``log_survival``, ``hazard``,
+``inverse_log_survival``, ``tail_index`` and ``params``, and checks its
+parameters on construction.  ``BaselineDistribution`` derives the rest, once
+for every family: ``survival = exp(log_survival)``, ``density = hazard *
+survival`` and ``inverse_survival(u) = inverse_log_survival(log u)``.
+Mixtures, orders and propositions reach a baseline only through these
+methods, so a further family is one subclass and one entry in
+``make_baseline``'s registry, with no change to dependent modules.
 """
 
 from __future__ import annotations
@@ -47,28 +51,20 @@ def _as_log_survival_level(logs) -> np.ndarray:
 class BaselineDistribution(ABC):
     """A baseline survival bundle on (0, inf).
 
-    Implementations must satisfy S(0) = 1, S strictly decreasing to 0, and
-    hazard(x) = density(x) / survival(x) wherever survival(x) > 0.  When
-    survival underflows to 0.0 the closed-form hazard is still returned;
-    callers that cannot tolerate the underflow must guard on ``survival``.
+    A subclass implements ``log_survival``, ``hazard``, ``inverse_log_survival``
+    and ``tail_index``, with S(0) = 1 and S strictly decreasing to 0; ``hazard``
+    is the closed form, also where the survival underflows to 0.0.  This class
+    derives ``survival``, ``density`` and ``inverse_survival`` from them, so
+    hazard(x) = density(x) / survival(x) wherever survival(x) > 0.
     """
 
     kind: str
 
     @abstractmethod
-    def survival(self, x): ...
-
-    @abstractmethod
     def log_survival(self, x): ...
 
     @abstractmethod
-    def density(self, x): ...
-
-    @abstractmethod
     def hazard(self, x): ...
-
-    @abstractmethod
-    def inverse_survival(self, u): ...
 
     @abstractmethod
     def inverse_log_survival(self, logs):
@@ -78,6 +74,16 @@ class BaselineDistribution(ABC):
     @abstractmethod
     def tail_index(self) -> float:
         """Decay exponent k with survival ~ x**-k as x -> inf; inf for lighter tails."""
+
+    def survival(self, x):
+        return np.exp(self.log_survival(x))
+
+    def density(self, x):
+        return self.hazard(x) * self.survival(x)
+
+    def inverse_survival(self, u):
+        """The point x with ``survival(x) == u``, for levels u in (0, 1]."""
+        return self.inverse_log_survival(np.log(_as_survival_level(u)))
 
     def evaluate(self, x) -> dict:
         """Survival, density and hazard at x in one call."""
@@ -99,20 +105,11 @@ class Exponential(BaselineDistribution):
         if not (self.rate > 0 and np.isfinite(self.rate)):
             raise ParameterError(f"exponential rate must be > 0, got {self.rate!r}")
 
-    def survival(self, x):
-        return np.exp(-self.rate * _as_nonneg_array(x))
-
     def log_survival(self, x):
         return -self.rate * _as_nonneg_array(x)
 
-    def density(self, x):
-        return self.rate * np.exp(-self.rate * _as_nonneg_array(x))
-
     def hazard(self, x):
         return np.full_like(_as_nonneg_array(x), self.rate)
-
-    def inverse_survival(self, u):
-        return -np.log(_as_survival_level(u)) / self.rate
 
     def inverse_log_survival(self, logs):
         return -_as_log_survival_level(logs) / self.rate
@@ -133,9 +130,6 @@ class PowerBurr(BaselineDistribution):
             if not (v > 0 and np.isfinite(v)):
                 raise ParameterError(f"power_burr {name} must be > 0, got {v!r}")
 
-    def survival(self, x):
-        return np.exp(self.log_survival(x))
-
     def log_survival(self, x):
         arr = _as_nonneg_array(x)
         a, b = self.shape_a, self.shape_b
@@ -145,14 +139,6 @@ class PowerBurr(BaselineDistribution):
             tail = a * np.log(arr) + np.log1p(arr**-a)
             return -b * np.where(np.isinf(xa), tail, np.log1p(xa))[()]
 
-    def density(self, x):
-        # a*b*x**(a-1) * (1+x**a)**(-(b+1)); x**(a-1) diverges at 0 when a < 1
-        arr = _as_nonneg_array(x)
-        a, b = self.shape_a, self.shape_b
-        with np.errstate(divide="ignore"):
-            lead = arr ** (a - 1.0)
-        return a * b * lead * np.exp(-(b + 1.0) * np.log1p(arr**a))
-
     def hazard(self, x):
         arr = _as_nonneg_array(x)
         a, b = self.shape_a, self.shape_b
@@ -161,10 +147,6 @@ class PowerBurr(BaselineDistribution):
             # where x**a overflows, x**(a-1)/(1 + x**a) = 1/(x*(1 + x**-a))
             tail = a * b / (arr * (1.0 + arr**-a))
             return np.where(np.isinf(xa), tail, a * b * arr ** (a - 1.0) / (1.0 + xa))[()]
-
-    def inverse_survival(self, u):
-        arr = _as_survival_level(u)
-        return (arr ** (-1.0 / self.shape_b) - 1.0) ** (1.0 / self.shape_a)
 
     def inverse_log_survival(self, logs):
         arr = _as_log_survival_level(logs)

@@ -18,6 +18,7 @@ resolution (2001 points) wherever a scenario does not pin one explicitly.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import itertools
 import json
 import math
@@ -39,7 +40,7 @@ from .errors import (
     TailError,
 )
 from .mixture import CURVE_KINDS, evaluate_curve
-from .orders import OrderVerdict, check_hr, check_lorenz, check_st, check_star
+from .orders import check_hr, check_lorenz, check_st, check_star
 from .theorems import (  # scenario_to_dict and bundled_scenario_path are re-exported
     EXAMPLE_IDS,
     SEARCHABLE_IDS,
@@ -105,44 +106,19 @@ def schema_path() -> Path:
 # -- report serialization --------------------------------------------------------
 
 
-def _json_float(v: float | None):
-    if v is None:
+def _to_json(value):
+    """A report as JSON values, walked over its dataclass fields.
+
+    Tuples become lists and non-finite floats ``null``; the field names are
+    the keys, so the dataclasses and the schema hold the only field lists.
+    """
+    if dataclasses.is_dataclass(value):
+        return {f.name: _to_json(getattr(value, f.name)) for f in dataclasses.fields(value)}
+    if isinstance(value, tuple):
+        return [_to_json(v) for v in value]
+    if isinstance(value, float) and not math.isfinite(value):
         return None
-    v = float(v)
-    return v if math.isfinite(v) else None
-
-
-def verdict_to_dict(v: OrderVerdict) -> dict:
-    return {
-        "holds_leq": v.holds_leq,
-        "holds_geq": v.holds_geq,
-        "max_violation_leq": _json_float(v.max_violation_leq),
-        "max_violation_geq": _json_float(v.max_violation_geq),
-        "witness_t": _json_float(v.witness_t),
-        "inconclusive": v.inconclusive,
-        "reason": v.reason,
-        "hazard_holds_leq": v.hazard_holds_leq,
-        "hazard_holds_geq": v.hazard_holds_geq,
-        "hazard_disagrees": v.hazard_disagrees,
-        "truncated_at_t": _json_float(v.truncated_at_t),
-        "notes": list(v.notes),
-    }
-
-
-def report_to_dict(r: TheoremReport) -> dict:
-    return {
-        "theorem_id": r.theorem_id,
-        "asserted": r.asserted,
-        "hypotheses": [
-            {"name": h.name, "satisfied": h.satisfied, "detail": h.detail}
-            for h in r.hypotheses
-        ],
-        "conclusion": verdict_to_dict(r.conclusion),
-        "conclusion_holds": r.conclusion_holds,
-        "consistent": r.consistent,
-        "inconclusive": r.inconclusive,
-        "notes": list(r.notes),
-    }
+    return value
 
 
 def _atomic_write(path: Path, blocks: Iterable[str]) -> None:
@@ -220,12 +196,12 @@ def _print_text_report(k: int, report: TheoremReport) -> None:
 
 def _cmd_verify_examples(args) -> int:
     ids = _parse_ids(args.ids)
-    points = args.grid_points if args.grid_points else default_grid_points()
+    points = args.grid_points if args.grid_points is not None else default_grid_points()
     reports = {k: verify_example(k, grid_points=points) for k in ids}
     all_consistent = all(r.consistent for r in reports.values())
     if args.format == "json":
         doc = {
-            "reports": [report_to_dict(r) for r in reports.values()],
+            "reports": [_to_json(r) for r in reports.values()],
             "all_consistent": all_consistent,
         }
         text = json.dumps(doc, indent=2, sort_keys=True)
@@ -273,7 +249,7 @@ def _cmd_check_order(args) -> int:
 
 def _cmd_search(args) -> int:
     findings = search_counterexamples(args.theorem_id, args.trials, args.seed)
-    text = json.dumps([report_to_dict(r) for r in findings], indent=2, sort_keys=True)
+    text = json.dumps([_to_json(r) for r in findings], indent=2, sort_keys=True)
     _atomic_write(Path(args.out), [text, "\n"])
     print(f"{len(findings)} inconsistent report(s) written to {args.out}")
     return EXIT_OK

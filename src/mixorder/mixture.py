@@ -132,7 +132,7 @@ class MixtureModel:
         return self._terms(self.baseline.log_survival(x)).survival()
 
     def cdf(self, x):
-        return 1.0 - self.survival(x)
+        return self._terms(self.baseline.log_survival(x)).cdf()
 
     def density(self, x):
         return self._terms(self.baseline.log_survival(x)).density(self.baseline.hazard(x))
@@ -169,7 +169,7 @@ class MixtureModel:
                 f"quantile level must lie in (0, 1), got {float(levels[bad][0])!r}"
             )
         logs_max = self.baseline.log_survival(_QUANTILE_X_MAX)
-        u_max = float(1.0 - self._terms(logs_max).survival())
+        u_max = float(self._terms(logs_max).cdf())
         past = levels > u_max
         if np.any(past):
             raise TailError(

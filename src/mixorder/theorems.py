@@ -48,7 +48,15 @@ from .majorization import (
     verify_chain_witness,
 )
 from .mixture import EvaluationGrid, MixtureModel, default_grid
-from .orders import OrderVerdict, _check_hr, _undecided, check_lorenz, check_st, check_star
+from .orders import (
+    OrderVerdict,
+    _check_hr,
+    _monotone_violations,
+    _undecided,
+    check_lorenz,
+    check_st,
+    check_star,
+)
 
 __all__ = [
     "HypothesisCheck",
@@ -198,8 +206,7 @@ def t7_ratio_monotone(
             inconclusive=True, reason="baseline hazard not positive and finite on the grid",
         )
     ratio = -np.expm1(lam * np.asarray(baseline.log_survival(x))) / (x * lam * r)
-    rises = np.diff(ratio) / np.maximum(1.0, np.abs(ratio[:-1]))
-    viol = np.maximum(rises, 0.0)
+    viol = _monotone_violations(-ratio)
     worst = int(np.argmax(viol))
     return MonotoneReport(
         nonincreasing=bool(np.max(viol) <= slack),

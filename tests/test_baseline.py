@@ -173,3 +173,53 @@ def test_power_burr_keeps_its_bits_where_the_power_is_finite():
     a, b = d.shape_a, d.shape_b
     assert np.array_equal(d.log_survival(x), -b * np.log1p(x**a))
     assert np.array_equal(d.hazard(x), a * b * x ** (a - 1.0) / (1.0 + x**a))
+
+
+def mp_burr_density(a, b, x):
+    with mp.workdps(50):
+        a, b, x = mp.mpf(a), mp.mpf(b), mp.mpf(x)
+        return float(a * b * x ** (a - 1) * (1 + x**a) ** (-(b + 1)))
+
+
+def test_power_burr_density_where_the_power_overflows():
+    # x**a overflows at x = 1e155 for a = 2, while the density is a normal float
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = PowerBurr(2.0, 0.01).density(1e155)
+    want = mp_burr_density(2.0, 0.01, 1e155)
+    assert want == pytest.approx(1.58866e-160, rel=1e-5)
+    assert got == pytest.approx(want, rel=1e-12)
+
+
+def test_power_burr_density_far_tail_sweep():
+    rng = np.random.default_rng(31)
+    for _ in range(150):
+        a, b = rng.uniform(0.1, 5.0, size=2)
+        x = np.exp(rng.uniform(-40.0, 40.0, size=4))
+        got = PowerBurr(a, b).density(x)
+        want = [mp_burr_density(a, b, v) for v in x]
+        np.testing.assert_allclose(got, want, rtol=1e-12, atol=0.0, err_msg=f"a={a}, b={b}")
+
+
+def test_power_burr_inverse_survival_near_one_and_tiny_levels():
+    for a, b in ((0.2, 0.5), (1.7, 0.6), (3.0, 4.0), (0.1, 0.1), (4.9, 4.9)):
+        # levels within 1e-16 .. 1e-1 of 1, and tiny levels whose x and u**(-1/b)
+        # are finite: x ~ u**(-1/(a*b))
+        u = np.concatenate([
+            1.0 - np.geomspace(1e-16, 1e-1, 30),
+            np.geomspace(max(math.exp(-600.0 * b * min(a, 1.0)), 1e-300), 1e-3, 30),
+        ])
+        got = PowerBurr(a, b).inverse_survival(u)
+        with mp.workdps(50):
+            want = [float((mp.mpf(v) ** (-1 / mp.mpf(b)) - 1) ** (1 / mp.mpf(a))) for v in u]
+        np.testing.assert_allclose(got, want, rtol=1e-12, atol=0.0, err_msg=f"a={a}, b={b}")
+
+
+def test_density_matches_central_difference_of_survival():
+    rng = np.random.default_rng(7)
+    for _ in range(500):
+        d = random_baseline(rng)
+        x = rng.uniform(0.01, 20.0)
+        h = 1e-5 * x
+        slope = (d.survival(x + h) - d.survival(x - h)) / (2.0 * h)
+        assert -slope == pytest.approx(d.density(x), rel=1e-6), (d, x)

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import re
@@ -7,7 +8,8 @@ import numpy as np
 import pytest
 
 from mixorder import MixtureModel, cli
-from mixorder.theorems import example_scenario
+from mixorder.orders import OrderVerdict, _undecided
+from mixorder.theorems import HypothesisCheck, TheoremReport, example_scenario
 
 
 def run(argv, capsys):
@@ -163,6 +165,48 @@ class TestVerifyExamples:
         code, _, err = run(["verify-examples", "--ids", "1"], capsys)
         assert code == 2
         assert "MIXORDER_GRID_POINTS" in err
+
+    @pytest.mark.parametrize("points", ["0", "-3"])
+    def test_nonpositive_grid_points_exit_2(self, capsys, points):
+        code, out, err = run(["verify-examples", "--ids", "1", "--grid-points", points], capsys)
+        assert code == 2
+        assert out == "" and "grid points must be a positive integer" in err
+
+    def test_inconclusive_report_writes_nulls(self, tmp_path, capsys, schema, monkeypatch):
+        report = TheoremReport(
+            theorem_id="T7",
+            hypotheses=(HypothesisCheck("a_in_space", True, "ok"),),
+            conclusion=_undecided("quantile hit the tail guard", notes=("2 points dropped",)),
+            asserted="A >=_star B",
+            conclusion_holds=False,
+            consistent=True,
+            inconclusive=True,
+            notes=("conclusion undecided",),
+        )
+        monkeypatch.setattr(cli, "verify_example", lambda k, grid_points: report)
+        out_file = tmp_path / "reports.json"
+        code, _, _ = run(
+            ["verify-examples", "--ids", "7", "--format", "json", "--out", str(out_file)], capsys
+        )
+        assert code == 0
+        doc = json.loads(out_file.read_text())
+        jsonschema.validate(doc, schema)
+        conclusion = doc["reports"][0]["conclusion"]
+        for name in ("max_violation_leq", "max_violation_geq", "witness_t", "truncated_at_t"):
+            assert conclusion[name] is None
+        assert conclusion["inconclusive"] is True and conclusion["notes"] == ["2 points dropped"]
+        assert doc["reports"][0]["hypotheses"] == [
+            {"name": "a_in_space", "satisfied": True, "detail": "ok"}
+        ]
+
+
+@pytest.mark.parametrize(
+    "definition, cls",
+    [("verdict", OrderVerdict), ("report", TheoremReport), ("hypothesis", HypothesisCheck)],
+)
+def test_schema_properties_are_the_dataclass_fields(schema, definition, cls):
+    properties = schema["$defs"][definition]["properties"]
+    assert sorted(properties) == sorted(f.name for f in dataclasses.fields(cls))
 
 
 class TestCheckOrder:

@@ -74,6 +74,14 @@ class TestSurvival:
         values = m.survival(default_grid(501).x_values)
         assert np.all(np.diff(values) <= 0)
 
+    def test_cdf_near_zero_matches_mpmath(self):
+        # example 1's model A: its cdf at the low end of the grid is below 0.03
+        _, scenario = example_scenario(1)
+        m = scenario.model_a()
+        x = scenario.grid.x_values[:400]
+        want = [float(TestQuantileAccuracy.mp_cdf_and_survival(m, v)[0]) for v in x]
+        np.testing.assert_allclose(m.cdf(x), want, rtol=1e-14, atol=0.0)
+
 
 class TestHazard:
     def test_single_component_reduces(self):
