@@ -149,8 +149,12 @@ class PowerBurr(BaselineDistribution):
             return np.where(np.isinf(xa), tail, a * b * arr ** (a - 1.0) / (1.0 + xa))[()]
 
     def inverse_log_survival(self, logs):
-        arr = _as_log_survival_level(logs)
-        return np.expm1(-arr / self.shape_b) ** (1.0 / self.shape_a)
+        v = -_as_log_survival_level(logs) / self.shape_b
+        with np.errstate(over="ignore", divide="ignore"):
+            e = np.expm1(v)
+            # where expm1(v) overflows, expm1(v)**(1/a) = exp((v + log(-expm1(-v))) / a)
+            tail = np.exp((v + np.log(-np.expm1(-v))) / self.shape_a)
+        return np.where(np.isinf(e), tail, e ** (1.0 / self.shape_a))[()]
 
     @property
     def tail_index(self) -> float:

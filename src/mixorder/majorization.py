@@ -38,6 +38,8 @@ __all__ = [
 # sorted-order comparisons tolerate the 2-4 decimal digits of the bundled
 # example matrices
 _ORDER_SLACK = 1e-12
+# entrywise tolerance for a chain's image, and for a recovered omega
+_WITNESS_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -139,13 +141,12 @@ def verify_chain_witness(
     a: ParameterMatrix,
     b: ParameterMatrix,
     chain: Iterable[TTransform],
-    tol: float = 1e-9,
 ) -> bool:
-    """True when applying the chain to A reproduces B entrywise within tol."""
+    """True when applying the chain to A reproduces B entrywise within 1e-9."""
     if a.n != b.n:
         raise ShapeError(f"matrix widths differ: {a.n} vs {b.n}")
     produced = apply_chain(a, chain)
-    return bool(np.max(np.abs(produced.as_array() - b.as_array())) <= tol)
+    return bool(np.max(np.abs(produced.as_array() - b.as_array())) <= _WITNESS_TOL)
 
 
 def same_structure(chain: Sequence[TTransform]) -> bool:
@@ -179,24 +180,24 @@ def row_majorizes(a: ParameterMatrix, b: ParameterMatrix) -> bool:
 
 
 def recover_t_transform_2x2(
-    a: ParameterMatrix, b: ParameterMatrix, tol: float = 1e-9
+    a: ParameterMatrix, b: ParameterMatrix
 ) -> TTransform | None:
     """Solve B = A * T_omega for the 2x2 swap transform, if a solution exists.
 
     Uses b11 = omega*a11 + (1-omega)*a12 on the first row with distinct
-    entries; returns None when no omega in [0, 1] reproduces B within tol.
+    entries; returns None when no omega in [0, 1] reproduces B within 1e-9.
     """
     if a.n != 2 or b.n != 2:
         raise ShapeError("recovery is defined for 2x2 matrices only")
     omega = None
     for row_a, row_b in zip(a.as_array(), b.as_array()):
-        if abs(row_a[0] - row_a[1]) > tol:
+        if abs(row_a[0] - row_a[1]) > _WITNESS_TOL:
             omega = (row_b[0] - row_a[1]) / (row_a[0] - row_a[1])
             break
     if omega is None:
         # both rows constant: any omega works, identity is canonical
         omega = 1.0
-    if not (-tol <= omega <= 1.0 + tol):
+    if not (-_WITNESS_TOL <= omega <= 1.0 + _WITNESS_TOL):
         return None
     t = TTransform(omega=min(1.0, max(0.0, float(omega))), permutation=(1, 0))
-    return t if verify_chain_witness(a, b, [t], tol=tol) else None
+    return t if verify_chain_witness(a, b, [t]) else None

@@ -55,7 +55,6 @@ class MixtureModel:
     """An n-component mixture, immutable after construction."""
 
     baseline: BaselineDistribution
-    variant: str  # "vary_alpha" | "vary_lambda"
     weights: tuple[float, ...]
     alphas: tuple[float, ...]
     lams: tuple[float, ...]
@@ -64,8 +63,6 @@ class MixtureModel:
         n = len(self.weights)
         if n < 1 or len(self.alphas) != n or len(self.lams) != n:
             raise ParameterError("weights/alphas/lams must share a positive length")
-        if self.variant not in ("vary_alpha", "vary_lambda"):
-            raise ParameterError(f"unknown mixture variant {self.variant!r}")
         if any(not (w > 0 and math.isfinite(w)) for w in self.weights):
             raise ParameterError("all mixing weights must be > 0")
         if abs(sum(self.weights) - 1.0) > _WEIGHT_TOL:
@@ -89,7 +86,6 @@ class MixtureModel:
         comps = tuple(components)
         return cls(
             baseline=baseline,
-            variant="vary_alpha",
             weights=tuple(float(w) for w, _ in comps),
             alphas=tuple(float(a) for _, a in comps),
             lams=(float(lam),) * len(comps),
@@ -106,7 +102,6 @@ class MixtureModel:
         comps = tuple(components)
         return cls(
             baseline=baseline,
-            variant="vary_lambda",
             weights=tuple(float(w) for w, _ in comps),
             alphas=(float(alpha),) * len(comps),
             lams=tuple(float(l) for _, l in comps),
@@ -309,7 +304,7 @@ class EvaluationGrid:
         t = np.array(self.t_values, dtype=float)
         if t.ndim != 1 or t.size < 1:
             raise ParameterError("grid must be a one-dimensional, non-empty array")
-        if np.any(t <= 0) or np.any(t >= 1):
+        if not np.all((t > 0) & (t < 1)):  # also rejects NaN
             raise ParameterError("grid t-values must lie strictly inside (0, 1)")
         if np.any(np.diff(t) <= 0):
             raise ParameterError("grid t-values must be strictly increasing")

@@ -33,7 +33,6 @@ import numpy as np
 from .baseline import BaselineDistribution, make_baseline
 from .errors import (
     InfiniteMeanSuspected,
-    NumericalError,
     ParameterError,
     ScenarioParseError,
     ShapeError,
@@ -49,6 +48,7 @@ from .majorization import (
 )
 from .mixture import EvaluationGrid, MixtureModel, default_grid
 from .orders import (
+    DEFAULT_SLACK,
     OrderVerdict,
     _check_hr,
     _monotone_violations,
@@ -193,7 +193,6 @@ def t7_ratio_monotone(
     baseline: BaselineDistribution,
     lam: float,
     grid: EvaluationGrid,
-    slack: float = 1e-9,
 ) -> MonotoneReport:
     """Nonincreasingness of (1 - S**lam) / (x * lam * r(x)) along the grid."""
     if len(grid) < 2:
@@ -209,7 +208,7 @@ def t7_ratio_monotone(
     viol = _monotone_violations(-ratio)
     worst = int(np.argmax(viol))
     return MonotoneReport(
-        nonincreasing=bool(np.max(viol) <= slack),
+        nonincreasing=bool(np.max(viol) <= DEFAULT_SLACK),
         max_violation=float(np.max(viol)),
         witness_t=float(grid.t_values[worst]),
     )
@@ -604,20 +603,16 @@ SEARCHABLE_IDS = tuple(k for k, spec in PROPOSITIONS.items() if spec.sampler is 
 
 # -- proposition check ---------------------------------------------------------------
 
-# errors that leave a star or Lorenz conclusion undecided
-_UNDECIDED = {"star": (TailError, NumericalError), "lorenz": (InfiniteMeanSuspected, TailError)}
-
-
 def _conclusion(order: str, a: MixtureModel, b: MixtureModel, grid, hazard) -> OrderVerdict:
+    if order == "st":
+        return check_st(a, b, grid)
+    if order == "hr":
+        return _check_hr(a, b, grid, hazard)
+    if order == "star":
+        return check_star(a, b, grid)
     try:
-        if order == "st":
-            return check_st(a, b, grid)
-        if order == "hr":
-            return _check_hr(a, b, grid, hazard)
-        if order == "star":
-            return check_star(a, b, grid)
         return check_lorenz(a, b)
-    except _UNDECIDED.get(order, ()) as exc:
+    except (InfiniteMeanSuspected, TailError) as exc:
         return _undecided(str(exc))
 
 
@@ -690,20 +685,20 @@ def search_counterexamples(
     theorem_id: str,
     trials: int,
     seed: int,
-    grid_points: int | None = None,
 ) -> list[TheoremReport]:
     """Sample hypothesis-satisfying scenarios and collect inconsistent reports.
 
-    Scenarios are drawn by rejection sampling; trial k uses the deterministic
-    stream seeded by (seed, k), so runs are reproducible and parallelizable.
-    An empty result means no counterexample was found, not a proof.
+    Scenarios are drawn by rejection sampling and checked on ``default_grid()``,
+    the 2001-point grid; trial k uses the deterministic stream seeded by
+    (seed, k), so runs are reproducible and parallelizable.  An empty result
+    means no counterexample was found, not a proof.
     """
     if theorem_id not in SEARCHABLE_IDS:
         raise ParameterError(f"theorem id {theorem_id!r} is not searchable; use one of {SEARCHABLE_IDS}")
     if not isinstance(trials, (int, np.integer)) or trials < 1:
         raise ParameterError(f"trials must be a positive integer, got {trials!r}")
     spec = PROPOSITIONS[theorem_id]
-    grid = default_grid() if grid_points is None else default_grid(grid_points)
+    grid = default_grid()
     findings: list[TheoremReport] = []
     for trial in range(int(trials)):
         rng = np.random.default_rng((int(seed), trial))

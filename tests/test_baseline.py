@@ -215,6 +215,38 @@ def test_power_burr_inverse_survival_near_one_and_tiny_levels():
         np.testing.assert_allclose(got, want, rtol=1e-12, atol=0.0, err_msg=f"a={a}, b={b}")
 
 
+def mp_burr_inverse_log_survival(a, b, logs):
+    with mp.workdps(30):
+        a, b, logs = mp.mpf(a), mp.mpf(b), mp.mpf(logs)
+        return float(mp.expm1(-logs / b) ** (1 / a))
+
+
+def test_power_burr_inverse_log_survival_where_expm1_overflows():
+    # expm1(-logs/b) overflows from -logs/b ~ 709.8 on, while x is a normal float for a > 1
+    d = PowerBurr(1.7, 0.6)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        x = d.inverse_log_survival(-500.0)
+        tiny = d.inverse_survival(1e-300)
+    assert x == pytest.approx(7.7527e212, rel=1e-4)
+    assert x == pytest.approx(mp_burr_inverse_log_survival(1.7, 0.6, -500.0), rel=1e-13)
+    assert d.log_survival(x) == pytest.approx(-500.0, rel=1e-14)
+    assert np.isfinite(tiny) and d.survival(tiny) == pytest.approx(1e-300, rel=1e-12)
+    rng = np.random.default_rng(5)
+    for _ in range(50):
+        a, b = rng.uniform(1.1, 5.0), rng.uniform(0.05, 2.0)
+        logs = -b * rng.uniform(710.0, 700.0 * a, size=4)
+        want = [mp_burr_inverse_log_survival(a, b, v) for v in logs]
+        got = PowerBurr(a, b).inverse_log_survival(logs)
+        np.testing.assert_allclose(got, want, rtol=1e-12, atol=0.0, err_msg=f"a={a}, b={b}")
+
+
+def test_power_burr_inverse_keeps_its_bits_where_expm1_is_finite():
+    d = PowerBurr(1.7, 0.6)
+    logs = -np.geomspace(1e-300, 0.6 * 709.0, 2001)
+    assert np.array_equal(d.inverse_log_survival(logs), np.expm1(-logs / 0.6) ** (1.0 / 1.7))
+
+
 def test_density_matches_central_difference_of_survival():
     rng = np.random.default_rng(7)
     for _ in range(500):

@@ -232,6 +232,28 @@ class TestCheckOrder:
         assert code == 0
         assert "A >=_star B: holds" in out
 
+    def test_nan_grid_bound_exits_2(self, tmp_path, capsys):
+        doc = json.loads(cli.bundled_scenario_path(1).read_text())
+        doc["grid"] = {"t_min": float("nan")}
+        bad = tmp_path / "nan.json"
+        bad.write_text(json.dumps(doc))  # written as the JSON token NaN
+        code, _, err = run(["check-order", str(bad), "--order", "st"], capsys)
+        assert code == 2
+        assert err == "error: grid t-values must lie strictly inside (0, 1)\n"
+
+    def test_lorenz_tail_guard_exits_4(self, tmp_path, capsys):
+        doc = {
+            "baseline": {"kind": "power_burr", "params": {"a": 1.0, "b": 1.2}},
+            "model_variant": "vary_alpha", "common_param": 1.0,
+            "matrix_a": {"p": [0.5, 0.5], "theta": [1e17, 1e17]},
+            "chain": [{"omega": 0.5, "permutation": [1, 0]}],
+        }
+        path = tmp_path / "guard.json"
+        path.write_text(json.dumps(doc))
+        code, _, err = run(["check-order", str(path), "--order", "lorenz"], capsys)
+        assert code == 4
+        assert err.startswith("inconclusive: quantile level")
+
     def test_hr_on_balanced_pair(self, capsys):
         code, out, _ = run(
             ["check-order", str(cli.bundled_scenario_path(6)), "--order", "hr"], capsys

@@ -383,6 +383,15 @@ class TestCurves:
         with pytest.raises(ParameterError):
             default_grid(0)
 
+    @pytest.mark.parametrize("t", [[0.2, float("nan"), 0.3], [float("nan")], [0.1, 0.5, float("nan")]])
+    def test_grid_rejects_nan(self, t):
+        with pytest.raises(ParameterError, match="strictly inside"):
+            EvaluationGrid(np.array(t))
+
+    def test_default_grid_rejects_nan_end(self):
+        with pytest.raises(ParameterError):
+            default_grid(5, float("nan"), 0.5)
+
     def test_x_values_fixed_at_construction(self):
         t = np.linspace(1e-4, 1.0 - 1e-4, 2001)
         grid = EvaluationGrid(t)

@@ -11,6 +11,7 @@ from mixorder import (
     MixtureModel,
     ParameterError,
     PowerBurr,
+    TailError,
     check_hr,
     check_lorenz,
     check_st,
@@ -301,6 +302,24 @@ class TestLorenz:
         curve = lorenz_curve(m)
         assert curve.l_values[-1] == pytest.approx(1.0, abs=1e-12)
         assert np.all(np.diff(curve.l_values) >= 0)
+
+    def test_finite_mean_with_heavy_top_percent_integrates(self):
+        # tail index 1.05 > 1: the mean is finite, though the top 1% of the
+        # u-range carries most of the clipped integral
+        m = MixtureModel.vary_alpha(PowerBurr(1.0, 1.05), 1.0, [(0.5, 5000.0), (0.5, 5000.0)])
+        curve = lorenz_curve(m)
+        assert np.isfinite(curve.mean) and curve.mean > 0
+        assert curve.l_values[-1] == pytest.approx(1.0, abs=1e-12)
+        assert np.all(np.diff(curve.l_values) >= 0)
+
+    def test_tail_guard_is_reported_as_tail_error(self):
+        # tail index 1.2 > 1, but the top levels lie past cdf(1e18): the
+        # quantile's guard, not an infinite mean
+        m = MixtureModel.vary_alpha(PowerBurr(1.0, 1.2), 1.0, [(0.5, 1e17), (0.5, 1e17)])
+        with pytest.raises(TailError, match="lies past cdf"):
+            lorenz_curve(m)
+        with pytest.raises(TailError):
+            check_lorenz(m, m)
 
     def test_two_group_exponential_baseline_direction(self):
         # with an exponential baseline the wider-tilt mixture has the *higher*
