@@ -72,6 +72,11 @@ class MixtureModel:
         for name, vals in (("alpha", self.alphas), ("lam", self.lams)):
             if any(not (v > 0 and math.isfinite(v)) for v in vals):
                 raise ParameterError(f"all {name} values must be positive reals")
+        # the kernel's columns w, a, lam, built once and never written; one lam
+        # when all components share it
+        lams = self.lams[:1] if len(set(self.lams)) == 1 else self.lams
+        columns = (np.array(self.weights), np.array(self.alphas), np.array(lams))
+        object.__setattr__(self, "_columns", columns)
 
     # -- constructors ------------------------------------------------------
 
@@ -117,11 +122,11 @@ class MixtureModel:
         """The kernel: per-component terms at ``logs``, components on axis 0."""
         logs = np.asarray(logs, dtype=float)
         col = (-1,) + (1,) * logs.ndim
-        a = np.array(self.alphas).reshape(col)
-        lam = np.array(self.lams[:1] if len(set(self.lams)) == 1 else self.lams).reshape(col)
+        w, a, lam = self._columns
+        w, a, lam = w.reshape(col), a.reshape(col), lam.reshape(col)
         c = lam * logs
         z = np.exp(c)
-        return _Terms(np.array(self.weights).reshape(col), a, lam, c, z, 1.0 - (1.0 - a) * z)
+        return _Terms(w, a, lam, c, z, 1.0 - (1.0 - a) * z)
 
     def survival(self, x):
         return self._terms(self.baseline.log_survival(x)).survival()
@@ -149,7 +154,8 @@ class MixtureModel:
         ``log1p(-u) - log G`` above; a step that leaves the bracket becomes a
         bisection.  A level stops, and leaves the working arrays, once its step
         is at most ``1e-12 * max(1, |w|)``, so every level follows the same
-        iterations as in a scalar call.  ``w`` maps back through the baseline's
+        iterations, to the bit, as in a scalar call (``check_star`` starts them
+        from its cdf table instead).  ``w`` maps back through the baseline's
         ``inverse_log_survival`` and is clipped to ``(e^-745, 1e18]``.
 
         A scalar (or 0-d) level returns a ``float``; an array returns an array
@@ -157,6 +163,11 @@ class MixtureModel:
         NaN, and ``TailError``, before solving, when a level exceeds
         ``cdf(1e18)``.
         """
+        slope = sum(p * l / a for p, a, l in zip(self.weights, self.alphas, self.lams))
+        return self._quantile(u, lambda v: np.log(-np.log1p(-v) / slope))
+
+    def _quantile(self, u, start):
+        """``quantile`` with the Newton start ``w0 = start(v)`` for the flattened levels ``v``."""
         levels = np.asarray(u, dtype=float)
         bad = ~((levels > 0.0) & (levels < 1.0))
         if np.any(bad):
@@ -171,17 +182,33 @@ class MixtureModel:
                 f"quantile level {float(levels[past][0])!r} lies past "
                 f"cdf({_QUANTILE_X_MAX:g}) = {u_max!r}"
             )
-        w = self._solve_log_log_survival(levels.reshape(-1), math.log(-float(logs_max)))
+        flat = levels.reshape(-1)
+        w_max = math.log(-float(logs_max))
+        w = self._solve_log_log_survival(flat, np.clip(start(flat), _QUANTILE_W_MIN, w_max), w_max)
         x = self.baseline.inverse_log_survival(-np.exp(w))
         x = np.clip(x, _QUANTILE_X_MIN, _QUANTILE_X_MAX)
         return float(x[0]) if levels.ndim == 0 else x.reshape(levels.shape)
 
-    def _solve_log_log_survival(self, u: np.ndarray, w_max: float) -> np.ndarray:
-        """``w = log(-log s)`` with ``1 - G(s) = u`` for each level of the 1-d array ``u``."""
+    def _table_start(self, cdf: np.ndarray, logs: np.ndarray):
+        """A Newton start for ``_quantile`` from this model's increasing cdf table.
+
+        ``cdf``, inside ``(1e-300, 1 - 3e-8)``, and baseline ``logs`` at the same
+        points give ``w = log(-log s)`` linear in ``log u`` for ``u <= 1/2`` and
+        ``-log s`` linear in ``-log(1 - u)`` above, where the mixture is nearly
+        linear; past the far ends it follows ``u ~ e^w`` and ``1 - u ~ s^min(lam)``.
+        """
+        def start(u):
+            lc, hc, lam = np.log(cdf), -np.log1p(-cdf), min(self.lams)
+            lu, hu = np.log(u), -np.log1p(-u)
+            low = np.interp(lu, lc, np.log(-logs) - lc) + lu
+            high = (np.interp(hu, hc, -lam * logs - hc) + np.maximum(hu, hc[0])) / lam
+            return np.where(u <= 0.5, low, np.log(high))
+        return start
+
+    def _solve_log_log_survival(self, u: np.ndarray, w: np.ndarray, w_max: float) -> np.ndarray:
+        """``w = log(-log s)`` with ``1 - G(s) = u`` for each level of the 1-d ``u``, from ``w``."""
         upper = u > 0.5
         target = np.where(upper, np.log1p(-u), np.log(u))
-        slope = sum(p * l / a for p, a, l in zip(self.weights, self.alphas, self.lams))
-        w = np.clip(np.log(-np.log1p(-u) / slope), _QUANTILE_W_MIN, w_max)
         lo = np.full(u.shape, _QUANTILE_W_MIN)
         hi = np.full(u.shape, w_max)
         out = np.empty(u.shape)

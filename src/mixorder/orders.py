@@ -216,7 +216,8 @@ def check_star(
 
     A ``TailError`` during quantile inversion marks the verdict inconclusive.
     Grid points whose cdf is numerically 0 or 1 are dropped (recorded) since
-    they cannot be inverted.
+    they cannot be inverted.  Each quantile solve starts from the inverted
+    model's own cdf table on the kept points, not from the small-u slope.
     """
     l1, l2 = _baseline_pair(m1, m2, "log_survival", grid.x_values)
     u1 = m1._terms(l1).cdf()
@@ -230,14 +231,12 @@ def check_star(
         return _undecided("fewer than two grid points with invertible cdf", notes=notes)
     x = grid.x_values[keep]
     try:
-        s_12 = m2.quantile(u1[keep])
-        s_21 = m1.quantile(u2[keep])
+        s_12 = m2._quantile(u1[keep], m2._table_start(u2[keep], l2[keep]))
+        s_21 = m1._quantile(u2[keep], m1._table_start(u1[keep], l1[keep]))
     except TailError as exc:
         return _undecided(f"quantile inversion hit the tail guard: {exc}", notes=notes)
-    ratio_leq = s_12 / x
-    ratio_geq = s_21 / x
-    viol_leq = _monotone_violations(ratio_leq)
-    viol_geq = _monotone_violations(ratio_geq)
+    viol_leq = _monotone_violations(s_12 / x)
+    viol_geq = _monotone_violations(s_21 / x)
     return _directional_verdict(viol_leq, viol_geq, t[:-1], DEFAULT_SLACK, notes=notes)
 
 

@@ -45,3 +45,10 @@ def random_baseline(rng: np.random.Generator):
     if rng.random() < 0.5:
         return Exponential(rate=rng.uniform(0.3, 2.0))
     return PowerBurr(shape_a=rng.uniform(0.5, 2.0), shape_b=rng.uniform(0.5, 2.0))
+
+
+def random_mixture(rng: np.random.Generator, variant: str) -> MixtureModel:
+    """A 2-5 component mixture over a ``random_baseline``, for property tests."""
+    n = int(rng.integers(2, 6))
+    components = zip(rng.dirichlet(np.ones(n)), rng.uniform(0.3, 3.0, size=n))
+    return getattr(MixtureModel, variant)(random_baseline(rng), rng.uniform(0.3, 3.0), components)

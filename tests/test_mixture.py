@@ -17,12 +17,13 @@ from mixorder import (
     ParameterError,
     PowerBurr,
     TailError,
+    check_star,
     default_grid,
     evaluate_curve,
     example_scenario,
     mphr,
 )
-from conftest import random_baseline
+from conftest import random_mixture
 
 EXP1 = Exponential(rate=1.0)
 
@@ -184,13 +185,6 @@ class TestQuantile:
             m.quantile(0.9999)
 
 
-def random_mixture(rng: np.random.Generator, variant: str) -> MixtureModel:
-    """A 2-5 component mixture over a ``random_baseline``, for property tests."""
-    n = int(rng.integers(2, 6))
-    components = zip(rng.dirichlet(np.ones(n)), rng.uniform(0.3, 3.0, size=n))
-    return getattr(MixtureModel, variant)(random_baseline(rng), rng.uniform(0.3, 3.0), components)
-
-
 class TestArrayQuantile:
     M = MixtureModel.vary_lambda(Exponential(0.5), 0.3, [(0.5, 0.4), (0.5, 2.0)])
 
@@ -284,6 +278,14 @@ class TestQuantileAccuracy:
                 surv += mp.mpf(p) * mp.mpf(a) * mp.exp(c) / den
             return cdf, surv
 
+    @classmethod
+    def relative_error(cls, m, level, x):
+        """The error of ``x`` as the quantile at ``level``, relative to min(u, 1 - u)."""
+        cdf, surv = cls.mp_cdf_and_survival(m, x)
+        if level <= 0.5:
+            return abs(cdf - mp.mpf(level)) / mp.mpf(level)
+        return abs(surv - (1 - mp.mpf(level))) / (1 - mp.mpf(level))
+
     def models(self):
         rng = np.random.default_rng(20)
         randoms = [random_mixture(rng, v) for v in ("vary_alpha", "vary_lambda") for _ in range(4)]
@@ -299,22 +301,75 @@ class TestQuantileAccuracy:
             if top > 0.5:
                 u = np.concatenate([u, 1.0 - np.geomspace(0.5, 1.0 - top, 40)])
             for level, x in zip(u, m.quantile(u)):
-                cdf, surv = self.mp_cdf_and_survival(m, x)
-                if level <= 0.5:
-                    err = abs(cdf - mp.mpf(level)) / mp.mpf(level)
-                else:
-                    err = abs(surv - (1 - mp.mpf(level))) / (1 - mp.mpf(level))
+                err = self.relative_error(m, level, x)
                 assert err <= 1e-12, (m, level, float(err))
+
+    @pytest.mark.parametrize("k", [5, 7])
+    def test_check_star_warm_starts_match_mpmath_cdf(self, monkeypatch, k):
+        # levels check_star inverts from its cdf-table starts: every 4th and the last
+        solved = []
+        warm = MixtureModel._quantile
+
+        def recorded(self, u, start):
+            x = warm(self, u, start)
+            solved.append((self, u, x))
+            return x
+
+        monkeypatch.setattr(MixtureModel, "_quantile", recorded)
+        _, s = example_scenario(k)
+        check_star(s.model_a(), s.model_b(), s.grid)
+        assert len(solved) == 2
+        for m, u, q in solved:
+            idx = np.r_[0:u.size:4, u.size - 1]
+            for level, x in zip(u[idx], q[idx]):
+                err = self.relative_error(m, level, x)
+                assert err <= 1e-12, (k, level, float(err))
+
+
+class TestQuantileBits:
+    """The public ``quantile``'s bits as ``float.hex``, frozen before the kernel cached its columns."""
+
+    CASES = [
+        (
+            lambda: example_scenario(5)[1].model_a(),
+            [1e-200, 1e-60, 1e-9, 1e-3, 0.1, 0.37, 0.5, 0.75, 0.999, 1 - 1e-9],
+            ["0x1.b374cfb3b4b81p-667", "0x1.c915a84bfd54ap-202", "0x1.316b7e5ccc76ap-32",
+             "0x1.238adab7c81f6p-12", "0x1.f5aa4236732e0p-6", "0x1.3f6ec3800493dp-3",
+             "0x1.07378313346a7p-2", "0x1.55ee1ab34a485p-1", "0x1.fcbdfd92e52c3p+2",
+             "0x1.eb439a5df6f0ep+4"],
+        ),
+        (
+            lambda: example_scenario(7)[1].model_b(),
+            [1e-200, 1e-100, 1e-60, 1e-30, 1e-12, 1e-6, 1e-3, 0.01, 0.05, 0.08],
+            ["0x0.0000000000001p-1022", "0x0.0000000000001p-1022", "0x1.345e1436ee02ap-963",
+             "0x1.78d13607a130fp-465", "0x1.71f758f3a4fc0p-166", "0x1.23edd754ede9cp-66",
+             "0x1.52610802b9584p-16", "0x1.a752e4a30722ep+4", "0x1.6540b03aba0cap+36",
+             "0x1.337ddf2bfe5e2p+56"],
+        ),
+        (
+            lambda: MixtureModel.vary_lambda(
+                PowerBurr(1.3, 0.7), 0.6, zip(np.full(9, 1.0 / 9), np.linspace(0.4, 2.5, 9))
+            ),
+            [1e-200, 1e-60, 1e-9, 1e-3, 0.1, 0.37, 0.5, 0.75, 0.999, 0.9999],
+            ["0x1.46734a04af5d2p-512", "0x1.11c5346662831p-154", "0x1.562e64b3b716ap-24",
+             "0x1.af18c4143f561p-9", "0x1.fe86359776d42p-4", "0x1.e0cebd4d9fe9ep-2",
+             "0x1.76b6a883589cap-1", "0x1.f7947d0913653p+0", "0x1.e2a3afc8b18f2p+16",
+             "0x1.c6d87a5c1ead4p+25"],
+        ),
+    ]
+
+    @pytest.mark.parametrize("model, levels, expected", CASES, ids=["ex5_a", "ex7_b", "burr9"])
+    def test_bits_unchanged(self, model, levels, expected):
+        m = model()
+        assert [float(x).hex() for x in m.quantile(np.array(levels))] == expected
+        assert [m.quantile(u).hex() for u in levels] == expected
 
 
 class TestQuantileCounts:
     """Non-timing guard: kernel and baseline evaluations per quantile call."""
 
-    @pytest.mark.parametrize("m", example_models())
-    def test_evaluations_per_call(self, monkeypatch, grid_default, m):
-        # the 2001 levels check_star inverts: cdf values on the default grid,
-        # clipped to its invertible band and to cdf(1e18)
-        u = np.clip(m.cdf(grid_default.x_values), 1e-300, min(1.0 - 3e-8, float(m.cdf(1e18))))
+    @staticmethod
+    def count_calls(monkeypatch, baseline_cls):
         calls = collections.Counter()
         terms = MixtureModel._terms
 
@@ -323,16 +378,32 @@ class TestQuantileCounts:
             return terms(self, logs)
 
         monkeypatch.setattr(MixtureModel, "_terms", counted_terms)
-        cls = type(m.baseline)
         for name in ("survival", "log_survival", "density", "hazard", "inverse_survival",
                      "inverse_log_survival"):
-            def counted(self, x, _orig=getattr(cls, name)):
+            def counted(self, x, _orig=getattr(baseline_cls, name)):
                 calls["baseline"] += 1
                 return _orig(self, x)
-            monkeypatch.setattr(cls, name, counted)
+            monkeypatch.setattr(baseline_cls, name, counted)
+        return calls
+
+    @pytest.mark.parametrize("m", example_models())
+    def test_evaluations_per_call(self, monkeypatch, grid_default, m):
+        # the 2001 levels check_star inverts: cdf values on the default grid,
+        # clipped to its invertible band and to cdf(1e18)
+        u = np.clip(m.cdf(grid_default.x_values), 1e-300, min(1.0 - 3e-8, float(m.cdf(1e18))))
+        calls = self.count_calls(monkeypatch, type(m.baseline))
         q = m.quantile(u)
         assert q.shape == (2001,)
         assert calls["_terms"] <= 16 and calls["baseline"] <= 2, calls
+
+    def test_check_star_evaluations(self, monkeypatch):
+        # two cdf tables, two tail guards and the Newton iterations of both
+        # table-started inversions; 22 kernel evaluations from the slope start
+        _, s = example_scenario(5)
+        a, b = s.model_a(), s.model_b()
+        calls = self.count_calls(monkeypatch, type(a.baseline))
+        check_star(a, b, s.grid)
+        assert calls["_terms"] <= 10 and calls["baseline"] <= 5, calls
 
 
 class TestSample:

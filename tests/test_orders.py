@@ -1,4 +1,5 @@
 import collections
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -10,8 +11,11 @@ from mixorder import (
     InfiniteMeanSuspected,
     MixtureModel,
     ParameterError,
+    ParameterMatrix,
     PowerBurr,
+    Scenario,
     TailError,
+    TTransform,
     check_hr,
     check_lorenz,
     check_st,
@@ -24,6 +28,15 @@ from mixorder import (
     h_plambda,
     lorenz_curve,
 )
+from mixorder.orders import (
+    _CDF_HI,
+    _CDF_LO,
+    DEFAULT_SLACK,
+    _directional_verdict,
+    _monotone_violations,
+    _undecided,
+)
+from conftest import random_mixture
 
 EXP1 = Exponential(rate=1.0)
 
@@ -242,6 +255,83 @@ class TestCheckStar:
         n = MixtureModel.vary_alpha(burr, 0.1, [(0.9, 6.0), (0.1, 3.0)])
         v = check_star(m, n, default_grid(301))
         assert v.holds_geq and not v.holds_leq
+
+
+def cold_check_star(m1, m2, grid):
+    """``check_star`` from the public ``quantile``'s slope start: the reference."""
+    u1, u2 = m1.cdf(grid.x_values), m2.cdf(grid.x_values)
+    keep = (u1 > _CDF_LO) & (u1 < _CDF_HI) & (u2 > _CDF_LO) & (u2 < _CDF_HI)
+    notes = () if np.all(keep) else (f"{int(np.sum(~keep))} grid points dropped (cdf at 0 or 1)",)
+    t, x = grid.t_values[keep], grid.x_values[keep]
+    if t.size < 2:
+        return _undecided("fewer than two grid points with invertible cdf", notes=notes)
+    try:
+        s_12, s_21 = m2.quantile(u1[keep]), m1.quantile(u2[keep])
+    except TailError as exc:
+        return _undecided(f"quantile inversion hit the tail guard: {exc}", notes=notes)
+    return _directional_verdict(
+        _monotone_violations(s_12 / x), _monotone_violations(s_21 / x), t[:-1], DEFAULT_SLACK,
+        notes=notes,
+    )
+
+
+def star_pairs():
+    """Examples 5 and 7, a light pair, a distinct-baseline pair and 64 seeded random pairs."""
+    pairs = []
+    for k in (5, 7):
+        _, s = example_scenario(k)
+        pairs.append((f"example{k}", s.model_a(), s.model_b(), s.grid))
+    grid = default_grid()
+    rng = np.random.default_rng(0)
+    p1 = rng.uniform(0.2, 0.8)
+    light = Scenario(
+        baseline=Exponential(rng.uniform(0.1, 0.3)), variant="vary_alpha",
+        common_param=rng.uniform(0.05, 0.15),
+        matrix_a=ParameterMatrix((p1, 1.0 - p1), tuple(rng.uniform(0.2, 0.9, size=2))),
+        chain=(TTransform(rng.uniform(0.2, 0.8), (1, 0)),),
+    )
+    pairs.append(("light", light.model_a(), light.model_b(), grid))
+    pairs.append(("distinct_baselines",
+                  MixtureModel.vary_alpha(Exponential(0.5), 0.8, [(0.3, 0.4), (0.7, 1.5)]),
+                  MixtureModel.vary_lambda(PowerBurr(1.5, 1.2), 0.6, [(0.5, 0.7), (0.5, 2.0)]),
+                  grid))
+    rng = np.random.default_rng(2024)
+    variants = ("vary_alpha", "vary_lambda")
+    for i in range(64):
+        m1 = random_mixture(rng, variants[i % 2])
+        m2 = random_mixture(rng, variants[i // 2 % 2])
+        if i % 8 < 4:
+            m2 = replace(m2, baseline=m1.baseline)
+        pairs.append((f"random{i}", m1, m2, grid))
+    return pairs
+
+
+STAR_PAIRS = star_pairs()
+
+
+class TestStarWarmStart:
+    """``check_star``'s table-started inversions give the cold reference's verdicts."""
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("m1, m2, grid", [p[1:] for p in STAR_PAIRS],
+                             ids=[p[0] for p in STAR_PAIRS])
+    def test_matches_cold_reference(self, m1, m2, grid):
+        got, want = check_star(m1, m2, grid), cold_check_star(m1, m2, grid)
+        for name in ("holds_leq", "holds_geq", "inconclusive", "notes", "reason"):
+            assert getattr(got, name) == getattr(want, name), name
+        np.testing.assert_equal(got.witness_t, want.witness_t)
+        for name in ("max_violation_leq", "max_violation_geq"):
+            assert getattr(got, name) == pytest.approx(getattr(want, name), rel=0, abs=1e-12,
+                                                       nan_ok=True), name
+
+    def test_pairs_cover_every_outcome(self):
+        # the reference's verdicts on the pairs: each direction, neither, the tail guard
+        outcomes = collections.Counter()
+        for _, m1, m2, grid in STAR_PAIRS:
+            v = cold_check_star(m1, m2, grid)
+            outcomes[v.inconclusive, v.holds_leq, v.holds_geq] += 1
+        assert set(outcomes) >= {(False, True, False), (False, False, True),
+                                 (False, False, False), (True, False, False)}, outcomes
 
 
 # -- Lorenz ----------------------------------------------------------------------

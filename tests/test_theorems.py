@@ -1,3 +1,4 @@
+import mpmath as mp
 import numpy as np
 import pytest
 
@@ -163,12 +164,36 @@ class TestWideFamilies:
     the two-component argument does not compose): with weights (0.2, 0.3, 0.5)
     and tilts (0.3, 0.2, 0.12) under a single omega=0.6 transform, the hazard
     gap starts at +0.256 and crosses to about -2e-4 near x = 3 (checked in
-    40-digit arithmetic).  The checker must raise its red flag there.
+    50-digit arithmetic by ``test_t6_hazard_crossing_in_50_digits``).  The
+    checker must raise its red flag there.
     """
 
     def _balanced_matrix(self):
         # weight*tilt products all equal 0.06, rows oppositely ordered
         return ParameterMatrix((0.2, 0.3, 0.5), (0.3, 0.2, 0.12))
+
+    def test_t6_hazard_crossing_in_50_digits(self):
+        s = Scenario(
+            baseline=Exponential(1.0), variant="vary_alpha", common_param=0.4,
+            matrix_a=self._balanced_matrix(), chain=(TTransform(0.6, (0, 2, 1)),),
+        )
+
+        def hazard(m, x):
+            # exponential(1) baseline: log S = -x and r = 1
+            num = den = mp.mpf(0)
+            for p, a, lam in zip(m.weights, m.alphas, m.lams):
+                p, a, lam = mp.mpf(p), mp.mpf(a), mp.mpf(lam)
+                z = mp.exp(-lam * x)
+                m_i = 1 - (1 - a) * z
+                num += p * lam * a * z / m_i**2
+                den += p * a * z / m_i
+            return num / den
+
+        with mp.workdps(50):
+            gap = [hazard(s.model_a(), mp.mpf(x)) - hazard(s.model_b(), mp.mpf(x)) for x in (0, 3)]
+        assert gap[0] == pytest.approx(0.2566, abs=1e-4)
+        assert gap[1] == pytest.approx(-2.0e-4, abs=1e-5)
+        assert gap[0] > 0 > gap[1]
 
     def test_t6_counterexample_is_red_flagged(self):
         s = Scenario(
