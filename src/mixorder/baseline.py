@@ -29,7 +29,7 @@ __all__ = ["BaselineDistribution", "Exponential", "PowerBurr", "make_baseline"]
 
 def _as_nonneg_array(x) -> np.ndarray:
     arr = np.asarray(x, dtype=float)
-    if not np.all(arr >= 0):  # also rejects NaN
+    if not (arr >= 0).all():  # also rejects NaN
         raise DomainError(f"evaluation point must be >= 0, got {x!r}")
     return arr
 

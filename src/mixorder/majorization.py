@@ -125,8 +125,18 @@ def apply_t_transform(m: ParameterMatrix, t: TTransform) -> ParameterMatrix:
     """Right-multiply both rows by T; row sums are preserved."""
     if t.n != m.n:
         raise ShapeError(f"transform size {t.n} does not match matrix width {m.n}")
-    out = m.as_array() @ t.matrix()
-    return ParameterMatrix(tuple(out[0]), tuple(out[1]))
+    # entry j of a row is omega*a[j] + (1-omega)*a[i], i the index the permutation
+    # maps to j, formed on the floats: its bits do not depend on the BLAS build
+    omega, src = t.omega, {j: i for i, j in enumerate(t.permutation)}
+
+    def image(row):
+        return tuple(
+            row[j] * (omega + (1.0 - omega)) if src[j] == j
+            else omega * row[j] + (1.0 - omega) * row[src[j]]
+            for j in range(t.n)
+        )
+
+    return ParameterMatrix(image(m.top_row), image(m.bottom_row))
 
 
 def apply_chain(m: ParameterMatrix, chain: Iterable[TTransform]) -> ParameterMatrix:
@@ -146,7 +156,8 @@ def verify_chain_witness(
     if a.n != b.n:
         raise ShapeError(f"matrix widths differ: {a.n} vs {b.n}")
     produced = apply_chain(a, chain)
-    return bool(np.max(np.abs(produced.as_array() - b.as_array())) <= _WITNESS_TOL)
+    pairs = zip(produced.top_row + produced.bottom_row, b.top_row + b.bottom_row)
+    return all(abs(p - q) <= _WITNESS_TOL for p, q in pairs)
 
 
 def same_structure(chain: Sequence[TTransform]) -> bool:
@@ -164,12 +175,12 @@ def in_space(m: ParameterMatrix, which: str) -> bool:
     """
     if which not in ("K", "L"):
         raise ParameterError(f"space must be 'K' or 'L', got {which!r}")
-    top = np.asarray(m.top_row)
-    bot = np.asarray(m.bottom_row)
-    prod = np.subtract.outer(top, top) * np.subtract.outer(bot, bot)
-    if which == "K":
-        return bool(np.all(prod <= _ORDER_SLACK))
-    return bool(np.all(prod >= -_ORDER_SLACK))
+    top, bot = m.top_row, m.bottom_row
+    sign = 1.0 if which == "K" else -1.0
+    return all(
+        sign * (top[i] - top[j]) * (bot[i] - bot[j]) <= _ORDER_SLACK
+        for i in range(m.n) for j in range(i + 1, m.n)
+    )
 
 
 def row_majorizes(a: ParameterMatrix, b: ParameterMatrix) -> bool:

@@ -6,7 +6,8 @@ survival is ``sum_i p_i alpha_i z_i / m_i`` and density ``r(x) sum_i p_i lam_i
 alpha_i z_i / m_i**2`` with ``r`` the baseline hazard.  One private kernel,
 ``MixtureModel._terms``, computes these terms from ``log s`` for the public
 methods, ``orders`` and ``theorems``.  When every component shares one ``lam``
-(every ``vary_alpha`` model) it computes one power instead of n identical ones.
+(every ``vary_alpha`` model) it computes one power instead of n identical ones,
+and the hazard needs no rescaling by it.
 
 Quantiles are solved on the same kernel by safeguarded Newton steps in
 ``w = log(-log s)``, then mapped back through the baseline's closed-form
@@ -21,6 +22,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Iterable, NamedTuple
 
 import numpy as np
@@ -72,11 +74,11 @@ class MixtureModel:
         for name, vals in (("alpha", self.alphas), ("lam", self.lams)):
             if any(not (v > 0 and math.isfinite(v)) for v in vals):
                 raise ParameterError(f"all {name} values must be positive reals")
-        # the kernel's columns w, a, lam, built once and never written; one lam
-        # when all components share it
+        # the kernel's columns w, a, lam, w*a and w*lam*a, built once and never
+        # written; one lam when all components share it
         lams = self.lams[:1] if len(set(self.lams)) == 1 else self.lams
-        columns = (np.array(self.weights), np.array(self.alphas), np.array(lams))
-        object.__setattr__(self, "_columns", columns)
+        w, a, lam = np.array(self.weights), np.array(self.alphas), np.array(lams)
+        object.__setattr__(self, "_columns", (w, a, lam, w * a, w * lam * a))
 
     # -- constructors ------------------------------------------------------
 
@@ -122,11 +124,10 @@ class MixtureModel:
         """The kernel: per-component terms at ``logs``, components on axis 0."""
         logs = np.asarray(logs, dtype=float)
         col = (-1,) + (1,) * logs.ndim
-        w, a, lam = self._columns
-        w, a, lam = w.reshape(col), a.reshape(col), lam.reshape(col)
+        w, a, lam, wa, wla = (v.reshape(col) for v in self._columns)
         c = lam * logs
         z = np.exp(c)
-        return _Terms(w, a, lam, c, z, 1.0 - (1.0 - a) * z)
+        return _Terms(w, a, lam, wa, wla, c, z, 1.0 - (1.0 - a) * z)
 
     def survival(self, x):
         return self._terms(self.baseline.log_survival(x)).survival()
@@ -174,8 +175,7 @@ class MixtureModel:
             raise DomainError(
                 f"quantile level must lie in (0, 1), got {float(levels[bad][0])!r}"
             )
-        logs_max = self.baseline.log_survival(_QUANTILE_X_MAX)
-        u_max = float(self._terms(logs_max).cdf())
+        logs_max, u_max = self._tail_guard
         past = levels > u_max
         if np.any(past):
             raise TailError(
@@ -183,11 +183,17 @@ class MixtureModel:
                 f"cdf({_QUANTILE_X_MAX:g}) = {u_max!r}"
             )
         flat = levels.reshape(-1)
-        w_max = math.log(-float(logs_max))
+        w_max = math.log(-logs_max)
         w = self._solve_log_log_survival(flat, np.clip(start(flat), _QUANTILE_W_MIN, w_max), w_max)
         x = self.baseline.inverse_log_survival(-np.exp(w))
         x = np.clip(x, _QUANTILE_X_MIN, _QUANTILE_X_MAX)
         return float(x[0]) if levels.ndim == 0 else x.reshape(levels.shape)
+
+    @cached_property
+    def _tail_guard(self) -> tuple[float, float]:
+        """``log S`` and the cdf at 1e18: the solver's bracket end and its tail guard."""
+        logs_max = self.baseline.log_survival(_QUANTILE_X_MAX)
+        return float(logs_max), float(self._terms(logs_max).cdf())
 
     def _table_start(self, cdf: np.ndarray, logs: np.ndarray):
         """A Newton start for ``_quantile`` from this model's increasing cdf table.
@@ -260,18 +266,21 @@ def _sum_rows(rows):
     does depends on the number of levels, so a level could sum differently in a
     scalar and in an array call; row order gives every level the same sum.
     """
-    total = rows[0].copy()
+    total = rows[0]
     for row in rows[1:]:
-        total += row
+        total = total + row
     return total
 
 
 class _Terms(NamedTuple):
-    """Columns ``w, a, lam``; ``c = lam * log s``, ``z = exp(c)``, tilt denominator ``m``."""
+    """Columns ``w, a, lam`` and products ``wa = w*a``, ``wla = w*lam*a``; ``c = lam * log s``,
+    ``z = exp(c)`` and the tilt denominator ``m``."""
 
     w: np.ndarray
     a: np.ndarray
     lam: np.ndarray
+    wa: np.ndarray
+    wla: np.ndarray
     c: np.ndarray
     z: np.ndarray
     m: np.ndarray
@@ -285,7 +294,7 @@ class _Terms(NamedTuple):
         return self.a * self.z / self.m
 
     def survival(self):
-        return _sum_rows(self.w * self.a * self.z / self.m)
+        return _sum_rows(self.wa * self.z / self.m)
 
     def cdf(self):
         """``1 - survival`` as ``sum_i w_i (1 - z_i) / m_i``, free of cancellation near s = 1."""
@@ -293,17 +302,20 @@ class _Terms(NamedTuple):
 
     def density(self, r):
         """Mixture density, given the baseline hazard ``r`` at the same points."""
-        return _sum_rows(self.w * self.lam * self.a * self.z * r / self.m**2)
+        return _sum_rows(self.wla * self.z * r / self.m**2)
 
     def hazard(self, r, x):
         """Mixture hazard, given the baseline hazard ``r`` at the points ``x``."""
+        if self.lam.shape[0] == 1 and np.isfinite(self.c).all():
+            # one lam: the rescaling below would multiply every term by exp(0) = 1.0
+            return _sum_rows(self.wla / self.m**2) * r / _sum_rows(self.wa / self.m)
         # density/survival with the common factor max_i z_i divided out, so the
         # ratio stays exact where every component survival underflows; the
         # finite floor of the max keeps c - max c at -inf, not NaN, where every
         # c is -inf
         zt = np.exp(self.c - np.max(self.c, axis=0, initial=_C_FLOOR))
-        num = _sum_rows(self.w * self.lam * self.a * zt / self.m**2) * r
-        den = _sum_rows(self.w * self.a * zt / self.m)
+        num = _sum_rows(self.wla * zt / self.m**2) * r
+        den = _sum_rows(self.wa * zt / self.m)
         if np.any(den == 0.0):
             # at s = 0 (x = inf) every c is -inf: the ratio's limit is min(lam) * r
             at_zero = np.isneginf(self.c[0])

@@ -92,20 +92,14 @@ def _directional_verdict(
     slack: float,
     **extra,
 ) -> OrderVerdict:
-    max_leq = float(np.max(viol_leq)) if viol_leq.size else 0.0
-    max_geq = float(np.max(viol_geq)) if viol_geq.size else 0.0
-    if max_leq >= max_geq and viol_leq.size:
-        witness = float(t[int(np.argmax(viol_leq))])
-    elif viol_geq.size:
-        witness = float(t[int(np.argmax(viol_geq))])
-    else:
-        witness = float("nan")
+    i_leq, i_geq = int(viol_leq.argmax()), int(viol_geq.argmax())
+    max_leq, max_geq = float(viol_leq[i_leq]), float(viol_geq[i_geq])
     return OrderVerdict(
         holds_leq=max_leq <= slack,
         holds_geq=max_geq <= slack,
         max_violation_leq=max_leq,
         max_violation_geq=max_geq,
-        witness_t=witness,
+        witness_t=float(t[i_leq if max_leq >= max_geq else i_geq]),
         **extra,
     )
 
@@ -133,8 +127,8 @@ def check_st(
 
 def _monotone_violations(values: np.ndarray) -> np.ndarray:
     """Per-step violation of nondecreasingness, scaled by max(1, |value|)."""
-    drops = -(np.diff(values))
-    return np.maximum(drops / np.maximum(1.0, np.abs(values[:-1])), 0.0)
+    head = values[:-1]
+    return np.maximum((head - values[1:]) / np.maximum(1.0, np.abs(head)), 0.0)
 
 
 def check_hr(
@@ -162,8 +156,8 @@ def _check_hr(m1, m2, grid, hazard, slack=DEFAULT_SLACK) -> OrderVerdict:
     s1, s2 = k1.survival(), k2.survival()
     safe = (s1 >= _SURVIVAL_FLOOR) & (s2 >= _SURVIVAL_FLOOR)
     t_cut = None
-    if not np.all(safe):
-        cut = int(np.argmin(safe))  # first unsafe index; survival is nonincreasing
+    if not safe.all():
+        cut = int(safe.argmin())  # first unsafe index; survival is nonincreasing
         t_cut = float(grid.t_values[cut])
         x, s1, s2 = x[:cut], s1[:cut], s2[:cut]
         k1, k2 = k1.head(cut), k2.head(cut)
@@ -181,11 +175,10 @@ def _check_hr(m1, m2, grid, hazard, slack=DEFAULT_SLACK) -> OrderVerdict:
         r1 = r2 = hazard[: x.size]
     h1 = k1.hazard(r1, x)
     h2 = k2.hazard(r2, x)
-    hscale = np.maximum(1.0, np.maximum(np.abs(h1), np.abs(h2)))
-    hviol_leq = float(np.max(np.maximum((h2 - h1) / hscale, 0.0)))
-    hviol_geq = float(np.max(np.maximum((h1 - h2) / hscale, 0.0)))
-    hz_leq = hviol_leq <= slack
-    hz_geq = hviol_geq <= slack
+    # h1 - h2 is -(h2 - h1) to the bit, so one scaled gap serves both directions
+    gap = (h2 - h1) / np.maximum(1.0, np.maximum(np.abs(h1), np.abs(h2)))
+    hz_leq = bool(gap.max() <= slack)
+    hz_geq = bool(-gap.min() <= slack)
 
     verdict = _directional_verdict(
         viol_leq,

@@ -399,17 +399,15 @@ def _hyp_side(model: MixtureModel, grid: EvaluationGrid, side: str) -> Hypothesi
         deficits = [-(a[j] * p[i] * comp[i] - a[i] * p[j] * comp[j]) for i, j in pairs]
     else:
         name = "weighted_odds_ordering"
-        comp = terms.w * terms.a * terms.z / terms.m**2
+        comp = terms.wa * terms.z / terms.m**2
         deficits = [comp[j] - comp[i] for i, j in pairs]
     worst = max([0.0] + [float(np.max(d)) for d in deficits])
     return HypothesisCheck(name, worst <= _SIDE_TOL, f"worst pointwise deficit {worst:.3e}")
 
 
 def _hyp_products_equal(s: Scenario) -> HypothesisCheck:
-    p = np.asarray(s.matrix_a.top_row)
-    a = np.asarray(s.matrix_a.bottom_row)
-    prods = p * a
-    spread = float(np.max(prods) - np.min(prods))
+    prods = [p * a for p, a in zip(s.matrix_a.top_row, s.matrix_a.bottom_row)]
+    spread = max(prods) - min(prods)
     ok = spread <= _PRODUCT_TOL
     return HypothesisCheck(
         "weight_tilt_products_equal", ok,
@@ -418,8 +416,9 @@ def _hyp_products_equal(s: Scenario) -> HypothesisCheck:
 
 
 def _hyp_positive_hazard(r: np.ndarray) -> HypothesisCheck:
-    ok = bool(np.all(np.isfinite(r)) and np.all(r > 0))
-    return HypothesisCheck("baseline_hazard_positive", ok, f"min hazard {float(np.min(r)):.3e}")
+    low = float(r.min())
+    ok = bool(np.isfinite(r).all() and low > 0)
+    return HypothesisCheck("baseline_hazard_positive", ok, f"min hazard {low:.3e}")
 
 
 def _two_group_params(matrix: ParameterMatrix, sizes: tuple[int, int], label: str):

@@ -163,6 +163,35 @@ class TestWitness:
         assert not verify_chain_witness(a, b, [TTransform(0.5, (1, 0))])
 
 
+class TestImageBits:
+    """B = A*T is formed on the floats, so no BLAS build moves its last bit."""
+
+    @staticmethod
+    def expected_row(row, omega, perm):
+        # column j of T holds omega at row j and 1 - omega at the row i mapped to j
+        src = {int(j): i for i, j in enumerate(perm)}
+        return tuple(
+            row[j] * (omega + (1.0 - omega)) if src[j] == j
+            else omega * row[j] + (1.0 - omega) * row[src[j]]
+            for j in range(len(row))
+        )
+
+    @pytest.mark.parametrize("fixed_point", [False, True])
+    def test_entries_match_the_float_formula(self, fixed_point):
+        rng = np.random.default_rng(2024 + fixed_point)
+        for _ in range(400):
+            n = int(rng.integers(2, 6))
+            perm = tuple(int(i) for i in rng.permutation(n))
+            while any(i == j for j, i in enumerate(perm)) != fixed_point:
+                perm = tuple(int(i) for i in rng.permutation(n))
+            top = tuple(float(v) for v in rng.dirichlet(np.ones(n)))
+            bottom = tuple(float(v) for v in rng.uniform(0.05, 5.0, n))
+            omega = float(rng.uniform())
+            out = apply_t_transform(ParameterMatrix(top, bottom), TTransform(omega, perm))
+            assert out.top_row == self.expected_row(top, omega, perm)
+            assert out.bottom_row == self.expected_row(bottom, omega, perm)
+
+
 class TestStructure:
     def test_same_structure_chain(self):
         assert same_structure(EX2[1])

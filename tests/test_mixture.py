@@ -123,6 +123,41 @@ class TestHazard:
         assert h[-1] == limit
         np.testing.assert_array_equal(h[:-1], m.hazard(x[:-1]))
 
+    @staticmethod
+    def rescaled_hazard(m, x, rescale=True):
+        """Density over survival with the factor max_i s**lam_i divided out, summed in row order."""
+        logs, r = m.baseline.log_survival(x), m.baseline.hazard(x)
+        c = np.array([lam * logs for lam in m.lams])
+        zt = np.exp(c - np.max(c, axis=0)) if rescale else np.exp(c)
+        num = den = 0.0
+        for i, (w, a, lam) in enumerate(zip(m.weights, m.alphas, m.lams)):
+            tilt = 1.0 - (1.0 - a) * np.exp(c[i])
+            num = num + w * lam * a * zt[i] / tilt**2
+            den = den + w * a * zt[i] / tilt
+        return num * r / den
+
+    def test_one_lam_skips_the_rescaling_to_the_bit(self):
+        # exp(c - max c) is exactly 1.0 where every component shares lam, so the
+        # kernel skips it; x reaches past where every component survival underflows
+        rng = np.random.default_rng(8)
+        x = np.concatenate([np.geomspace(1e-6, 1e300, 300), [0.0]])
+        underflows = 0
+        for _ in range(200):
+            m = random_mixture(rng, "vary_alpha")
+            np.testing.assert_array_equal(m.hazard(x), self.rescaled_hazard(m, x))
+            assert m.hazard(np.inf) == min(m.lams) * m.baseline.hazard(np.inf)
+            underflows += int(np.sum(m.survival(x) == 0.0))
+        assert underflows > 1000
+
+    def test_distinct_lams_keep_the_rescaling(self):
+        # where every component survival underflows, only the rescaled ratio is finite
+        m = MixtureModel.vary_lambda(Exponential(3.0), 0.5, [(0.4, 0.3), (0.6, 2.0)])
+        x = np.array([1.0, 1e3, 1e4])
+        with np.errstate(invalid="ignore"):
+            assert np.isnan(self.rescaled_hazard(m, x, rescale=False)[-1])
+        np.testing.assert_array_equal(m.hazard(x), self.rescaled_hazard(m, x))
+        assert m.hazard(1e4) == pytest.approx(0.9, rel=1e-9)
+
 
 class TestKernel:
     @settings(max_examples=80, deadline=None)
@@ -404,6 +439,21 @@ class TestQuantileCounts:
         calls = self.count_calls(monkeypatch, type(a.baseline))
         check_star(a, b, s.grid)
         assert calls["_terms"] <= 10 and calls["baseline"] <= 5, calls
+
+    def test_tail_guard_evaluated_once_per_model(self, monkeypatch):
+        # log S(1e18) and cdf(1e18) are constants of the model
+        m = MixtureModel.vary_lambda(Exponential(0.7), 0.4, [(0.3, 0.5), (0.7, 2.0)])
+        points = []
+        log_survival = Exponential.log_survival
+
+        def recorded(self, x):
+            points.append(x)
+            return log_survival(self, x)
+
+        monkeypatch.setattr(Exponential, "log_survival", recorded)
+        m.quantile(0.3)
+        m.quantile(np.array([0.1, 0.9]))
+        assert [x for x in points if np.ndim(x) == 0 and x == 1e18] == [1e18]
 
 
 class TestSample:

@@ -49,6 +49,12 @@ class TestVerifyExamples:
         detail = {h.name: h.detail for h in report.hypotheses}["weight_tilt_products_equal"]
         assert "0.21" in detail
 
+    def test_example6_balance_detail_prints_plain_floats(self):
+        # the same text under every numpy version: no np.float64(...) reprs
+        report = verify_example(6)
+        detail = {h.name: h.detail for h in report.hypotheses}["weight_tilt_products_equal"]
+        assert detail == "weight*tilt products (0.21, 0.21) (spread 0.000e+00)"
+
     def test_example7_honest_hypothesis_failures(self):
         report = verify_example(7, grid_points=401)
         status = {h.name: h.satisfied for h in report.hypotheses}
