@@ -36,6 +36,7 @@ from .orders import (
     OrderVerdict,
     check_hr,
     check_lorenz,
+    check_order,
     check_st,
     check_star,
     default_lorenz_grid,

@@ -154,7 +154,7 @@ class PowerBurr(BaselineDistribution):
             e = np.expm1(v)
             # where expm1(v) overflows, expm1(v)**(1/a) = exp((v + log(-expm1(-v))) / a)
             tail = np.exp((v + np.log(-np.expm1(-v))) / self.shape_a)
-        return np.where(np.isinf(e), tail, e ** (1.0 / self.shape_a))[()]
+            return np.where(np.isinf(e), tail, e ** (1.0 / self.shape_a))[()]
 
     @property
     def tail_index(self) -> float:

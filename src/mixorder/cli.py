@@ -29,6 +29,7 @@ from importlib import resources
 from pathlib import Path
 from typing import Iterable, Iterator
 
+from . import orders
 from .errors import (
     DomainError,
     InfiniteMeanSuspected,
@@ -40,7 +41,6 @@ from .errors import (
     TailError,
 )
 from .mixture import CURVE_KINDS, evaluate_curve
-from .orders import check_hr, check_lorenz, check_st, check_star
 from .theorems import (  # scenario_to_dict and bundled_scenario_path are re-exported
     EXAMPLE_IDS,
     SEARCHABLE_IDS,
@@ -216,19 +216,9 @@ def _cmd_verify_examples(args) -> int:
     return EXIT_OK if all_consistent else EXIT_CONCLUSION
 
 
-_ORDERS = ("st", "hr", "star", "lorenz")
-
-
 def _cmd_check_order(args) -> int:
     scenario = load_scenario(args.scenario)
-    a, b = scenario.model_a(), scenario.model_b()
-    if args.order == "lorenz":
-        verdict = check_lorenz(a, b)  # integrates on its own u-grid, not the scenario grid
-    else:
-        # names resolved per call, so a rebinding of this module's check_* (as
-        # perfbench's tracing does) is honoured
-        check = {"st": check_st, "hr": check_hr, "star": check_star}[args.order]
-        verdict = check(a, b, scenario.grid)
+    verdict = orders.check_order(args.order, scenario.model_a(), scenario.model_b(), scenario.grid)
     if verdict.inconclusive:
         print(f"inconclusive: {verdict.reason}")
         return EXIT_INCONCLUSIVE
@@ -290,7 +280,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("check-order", help="run one stochastic-order check on a scenario")
     p.add_argument("scenario")
-    p.add_argument("--order", choices=_ORDERS, required=True)
+    p.add_argument("--order", choices=orders.ORDERS, required=True)
     p.set_defaults(handler=_cmd_check_order)
 
     p = sub.add_parser("search", help="randomized counterexample search")

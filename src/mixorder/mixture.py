@@ -250,6 +250,7 @@ class MixtureModel:
         """Inverse-transform sampling: pick a component, invert its survival."""
         if not isinstance(n, (int, np.integer)) or n < 1:
             raise ParameterError(f"sample count must be a positive integer, got {n!r}")
+        _require_seed(seed)
         rng = np.random.default_rng(seed)
         idx = rng.choice(self.n_components, size=n, p=np.asarray(self.weights))
         u = rng.uniform(size=n)
@@ -257,6 +258,11 @@ class MixtureModel:
         lam = np.asarray(self.lams)[idx]
         z = (u / (a + u * (1.0 - a))) ** (1.0 / lam)
         return np.asarray(self.baseline.inverse_survival(z), dtype=float)
+
+
+def _require_seed(seed) -> None:
+    if not isinstance(seed, (int, np.integer)) or seed < 0:
+        raise ParameterError(f"seed must be a non-negative integer, got {seed!r}")
 
 
 def _sum_rows(rows):

@@ -37,6 +37,8 @@ __all__ = [
     "check_star",
     "lorenz_curve",
     "check_lorenz",
+    "ORDERS",
+    "check_order",
     "default_lorenz_grid",
     "h_pa",
     "h_plambda",
@@ -293,6 +295,22 @@ def check_lorenz(
     return _directional_verdict(
         np.maximum(-diff, 0.0), np.maximum(diff, 0.0), c1.p_values, DEFAULT_SLACK
     )
+
+
+ORDERS = ("st", "hr", "star", "lorenz")
+
+
+def check_order(order: str, m1: MixtureModel, m2: MixtureModel, grid) -> OrderVerdict:
+    """``check_<order>(m1, m2, grid)`` for ``order`` in ``ORDERS``.
+
+    Lorenz integrates on its own levels, not on ``grid``, and its errors pass
+    through.  The check is looked up when called, so a rebound ``check_*`` is used.
+    """
+    if order not in ORDERS:
+        raise ParameterError(f"unknown order {order!r}; known: {ORDERS}")
+    if order == "lorenz":
+        return check_lorenz(m1, m2)
+    return {"st": check_st, "hr": check_hr, "star": check_star}[order](m1, m2, grid)
 
 
 # -- sign-function evaluators --------------------------------------------------

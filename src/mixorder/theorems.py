@@ -46,16 +46,14 @@ from .majorization import (
     same_structure,
     verify_chain_witness,
 )
-from .mixture import EvaluationGrid, MixtureModel, default_grid
+from .mixture import EvaluationGrid, MixtureModel, _require_seed, default_grid
 from .orders import (
     DEFAULT_SLACK,
     OrderVerdict,
     _check_hr,
     _monotone_violations,
     _undecided,
-    check_lorenz,
-    check_st,
-    check_star,
+    check_order,
 )
 
 __all__ = [
@@ -384,16 +382,16 @@ def _hyp_space(s: Scenario, space: str) -> HypothesisCheck:
     )
 
 
-def _hyp_side(model: MixtureModel, grid: EvaluationGrid, side: str) -> HypothesisCheck:
+def _hyp_side(model: MixtureModel, grid: EvaluationGrid, variant: str) -> HypothesisCheck:
     """Part (ii)'s ordering of the components on the grid, for every i < j.
 
-    ``alpha``: alpha_j * p_i * S_i(x) >= alpha_i * p_j * S_j(x).
-    ``lambda``: p_i*S_i(x)/(1-(1-alpha)*z_i) >= p_j*S_j(x)/(1-(1-alpha)*z_j).
+    ``vary_alpha``: alpha_j * p_i * S_i(x) >= alpha_i * p_j * S_j(x).
+    ``vary_lambda``: p_i*S_i(x)/(1-(1-alpha)*z_i) >= p_j*S_j(x)/(1-(1-alpha)*z_j).
     """
     terms = model._terms(model.baseline.log_survival(grid.x_values))
     n = model.n_components
     pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
-    if side == "alpha":
+    if variant == "vary_alpha":
         name = "tilt_weighted_survival_ordering"
         comp, p, a = terms.components(), model.weights, model.alphas
         deficits = [-(a[j] * p[i] * comp[i] - a[i] * p[j] * comp[j]) for i, j in pairs]
@@ -415,13 +413,13 @@ def _hyp_products_equal(s: Scenario) -> HypothesisCheck:
     )
 
 
-def _hyp_positive_hazard(r: np.ndarray) -> HypothesisCheck:
+def _hyp_hazard_positive(r: np.ndarray) -> HypothesisCheck:
     low = float(r.min())
     ok = bool(np.isfinite(r).all() and low > 0)
     return HypothesisCheck("baseline_hazard_positive", ok, f"min hazard {low:.3e}")
 
 
-def _two_group_params(matrix: ParameterMatrix, sizes: tuple[int, int], label: str):
+def _group_params(matrix: ParameterMatrix, sizes: tuple[int, int], label: str):
     n1, n2 = sizes
     top = np.asarray(matrix.top_row)
     bot = np.asarray(matrix.bottom_row)
@@ -431,13 +429,13 @@ def _two_group_params(matrix: ParameterMatrix, sizes: tuple[int, int], label: st
     return float(top[0]), float(top[n1]), float(bot[0]), float(bot[n1])
 
 
-def _hyp_two_group(s: Scenario) -> list[HypothesisCheck]:
+def _hyp_groups(s: Scenario) -> list[HypothesisCheck]:
     if s.group_sizes is None:
         raise ShapeError("two-group propositions need explicit group sizes")
     n1, n2 = s.group_sizes
     b = s.resolved_matrix_b()
-    p1, p2, a1, a2 = _two_group_params(s.matrix_a, s.group_sizes, "matrix_a")
-    q1, q2, b1, b2 = _two_group_params(b, s.group_sizes, "matrix_b")
+    p1, p2, a1, a2 = _group_params(s.matrix_a, s.group_sizes, "matrix_a")
+    q1, q2, b1, b2 = _group_params(b, s.group_sizes, "matrix_b")
     checks = [
         HypothesisCheck(
             "same_mixing_weights",
@@ -526,22 +524,20 @@ _ASSERTED = {
 class PropositionSpec:
     """One proposition: the scenario it takes, its hypotheses and its conclusion.
 
-    Hypotheses are reported in field order: the chain witness with the extra
-    ``chain`` check (``single``, ``same`` or ``intermediates`` in ``space``),
-    A in ``space``, ``side``, ``balance`` and ``positive_hazard``; a
-    ``two_group`` proposition reports the two-group conditions instead.
+    Hypotheses are reported in this order: the chain witness with the extra
+    ``chain`` check (none for ``2x2``, which admits only 2x2 matrices;
+    ``single``, ``same`` or ``intermediates`` in ``space``), A in ``space``,
+    part (ii)'s ordering in the ``variant``'s form when ``space`` is ``L``,
+    ``balance`` and, for the hr order, a positive baseline hazard.  The star
+    and Lorenz rows, chain ``""``, report the two-group conditions instead.
     """
 
     variant: str
-    two_by_two: bool
     order: str
     direction: str
     chain: str = ""
     space: str = "K"
-    side: str = ""
     balance: bool = False
-    positive_hazard: bool = False
-    two_group: bool = False
     notes: tuple[str, ...] = ()
     sampler: Callable | None = None
 
@@ -557,42 +553,36 @@ _A, _L = "vary_alpha", "vary_lambda"
 _sample_k2_lam = partial(_sample_k2, common=(0.05, 0.95), params=(0.1, 3.0))
 
 PROPOSITIONS: dict[str, PropositionSpec] = {
-    # id:  (variant, 2x2, order, direction, chain, space, side, balance, positive_hazard)
+    # id:  (variant, order, direction, chain, space, balance)
     # usual stochastic order, vary-tilt: part (i) A <=st B, part (ii) A >=st B
-    "T1i": PropositionSpec(_A, True, "st", "leq", sampler=_sample_k2),
-    "T1ii": PropositionSpec(_A, True, "st", "geq", "", "L", "alpha"),
-    "T2i": PropositionSpec(_A, False, "st", "leq", "single"),
-    "T2ii": PropositionSpec(_A, False, "st", "geq", "single", "L", "alpha"),
-    "C1i": PropositionSpec(_A, False, "st", "leq", "same"),
-    "C1ii": PropositionSpec(_A, False, "st", "geq", "same", "L", "alpha"),
-    "C2i": PropositionSpec(_A, False, "st", "leq", "intermediates", notes=_IN_K),
-    "C2ii": PropositionSpec(_A, False, "st", "geq", "intermediates", "L", "alpha", notes=_IN_L),
+    "T1i": PropositionSpec(_A, "st", "leq", "2x2", sampler=_sample_k2),
+    "T1ii": PropositionSpec(_A, "st", "geq", "2x2", "L"),
+    "T2i": PropositionSpec(_A, "st", "leq", "single"),
+    "T2ii": PropositionSpec(_A, "st", "geq", "single", "L"),
+    "C1i": PropositionSpec(_A, "st", "leq", "same"),
+    "C1ii": PropositionSpec(_A, "st", "geq", "same", "L"),
+    "C2i": PropositionSpec(_A, "st", "leq", "intermediates", notes=_IN_K),
+    "C2ii": PropositionSpec(_A, "st", "geq", "intermediates", "L", notes=_IN_L),
     # usual stochastic order, vary-rate-power: the directions flip
-    "T3i": PropositionSpec(_L, True, "st", "geq", sampler=_sample_k2_lam),
-    "T3ii": PropositionSpec(_L, True, "st", "leq", "", "L", "lambda"),
-    "T4i": PropositionSpec(_L, False, "st", "geq", "single"),
-    "T4ii": PropositionSpec(_L, False, "st", "leq", "single", "L", "lambda"),
-    "C3i": PropositionSpec(_L, False, "st", "geq", "same"),
-    "C3ii": PropositionSpec(_L, False, "st", "leq", "same", "L", "lambda"),
-    "C4i": PropositionSpec(_L, False, "st", "geq", "intermediates", notes=_IN_K),
-    "C4ii": PropositionSpec(_L, False, "st", "leq", "intermediates", "L", "lambda", notes=_IN_L),
+    "T3i": PropositionSpec(_L, "st", "geq", "2x2", sampler=_sample_k2_lam),
+    "T3ii": PropositionSpec(_L, "st", "leq", "2x2", "L"),
+    "T4i": PropositionSpec(_L, "st", "geq", "single"),
+    "T4ii": PropositionSpec(_L, "st", "leq", "single", "L"),
+    "C3i": PropositionSpec(_L, "st", "geq", "same"),
+    "C3ii": PropositionSpec(_L, "st", "leq", "same", "L"),
+    "C4i": PropositionSpec(_L, "st", "geq", "intermediates", notes=_IN_K),
+    "C4ii": PropositionSpec(_L, "st", "leq", "intermediates", "L", notes=_IN_L),
     # hazard dominance of model A under equal weight*tilt products
-    "T5": PropositionSpec(
-        _A, True, "hr", "leq", "", "K", "", True, True, sampler=_sample_balanced_k2
-    ),
+    "T5": PropositionSpec(_A, "hr", "leq", "2x2", "K", True, sampler=_sample_balanced_k2),
     # a pseudo-id: T5 with the balance dropped, probing its necessity
-    "T5_unconstrained": PropositionSpec(
-        _A, True, "hr", "leq", "", "K", "", False, True, notes=_PROBE, sampler=_sample_k2
-    ),
+    "T5_unconstrained": PropositionSpec(_A, "hr", "leq", "2x2", notes=_PROBE, sampler=_sample_k2),
     # searchable for its genuine three-component counterexamples
-    "T6": PropositionSpec(
-        _A, False, "hr", "leq", "single", "K", "", True, True, sampler=_sample_balanced_k3
-    ),
-    "C5": PropositionSpec(_A, False, "hr", "leq", "same", "K", "", True, True),
-    "C6": PropositionSpec(_A, False, "hr", "leq", "intermediates", "K", "", True, True),
+    "T6": PropositionSpec(_A, "hr", "leq", "single", "K", True, sampler=_sample_balanced_k3),
+    "C5": PropositionSpec(_A, "hr", "leq", "same", "K", True),
+    "C6": PropositionSpec(_A, "hr", "leq", "intermediates", "K", True),
     # star and Lorenz dominance of model A, two-group vary-tilt mixtures
-    "T7": PropositionSpec(_A, False, "star", "geq", two_group=True),
-    "C7": PropositionSpec(_A, False, "lorenz", "geq", two_group=True),
+    "T7": PropositionSpec(_A, "star", "geq"),
+    "C7": PropositionSpec(_A, "lorenz", "geq"),
 }
 
 # the paper's propositions; T5_unconstrained is a search-only probe
@@ -601,19 +591,6 @@ SEARCHABLE_IDS = tuple(k for k, spec in PROPOSITIONS.items() if spec.sampler is 
 
 
 # -- proposition check ---------------------------------------------------------------
-
-def _conclusion(order: str, a: MixtureModel, b: MixtureModel, grid, hazard) -> OrderVerdict:
-    if order == "st":
-        return check_st(a, b, grid)
-    if order == "hr":
-        return _check_hr(a, b, grid, hazard)
-    if order == "star":
-        return check_star(a, b, grid)
-    try:
-        return check_lorenz(a, b)
-    except (InfiniteMeanSuspected, TailError) as exc:
-        return _undecided(str(exc))
-
 
 def check_theorem(theorem_id: str, s: Scenario) -> TheoremReport:
     """Evaluate the hypotheses and conclusion of one proposition on a scenario.
@@ -625,27 +602,31 @@ def check_theorem(theorem_id: str, s: Scenario) -> TheoremReport:
     spec = PROPOSITIONS.get(theorem_id) if isinstance(theorem_id, str) else None
     if spec is None:
         raise ParameterError(f"unknown theorem id {theorem_id!r}")
-    if spec.two_by_two and s.matrix_a.n != 2:
+    if spec.chain == "2x2" and s.matrix_a.n != 2:
         raise ShapeError(f"{theorem_id} applies to 2x2 matrices, got width {s.matrix_a.n}")
     if s.variant != spec.variant:
         raise ParameterError(f"{theorem_id} needs a {spec.variant} scenario, got {s.variant}")
     model_a, model_b = s.model_a(), s.model_b()
 
-    hazard = None
-    if spec.two_group:
-        hypotheses = _hyp_two_group(s)
+    if spec.order in ("star", "lorenz"):
+        hypotheses = _hyp_groups(s)
     else:
         hypotheses = _hyp_chain(s, spec) + [_hyp_space(s, spec.space)]
-        if spec.side:
-            hypotheses.append(_hyp_side(model_a, s.grid, spec.side))
+        if spec.space == "L":
+            hypotheses.append(_hyp_side(model_a, s.grid, spec.variant))
         if spec.balance:
             hypotheses.append(_hyp_products_equal(s))
-        if spec.positive_hazard:
-            # one evaluation serves the hypothesis and the hazard-rate check
-            hazard = np.asarray(s.baseline.hazard(s.grid.x_values))
-            hypotheses.append(_hyp_positive_hazard(hazard))
 
-    conclusion = _conclusion(spec.order, model_a, model_b, s.grid, hazard)
+    if spec.order == "hr":
+        # one evaluation serves the hypothesis and the hazard-rate check
+        hazard = np.asarray(s.baseline.hazard(s.grid.x_values))
+        hypotheses.append(_hyp_hazard_positive(hazard))
+        conclusion = _check_hr(model_a, model_b, s.grid, hazard)
+    else:
+        try:
+            conclusion = check_order(spec.order, model_a, model_b, s.grid)
+        except (InfiniteMeanSuspected, TailError) as exc:
+            conclusion = _undecided(str(exc))
     holds = getattr(conclusion, f"holds_{spec.direction}")
     inconclusive = conclusion.inconclusive
     return TheoremReport(
@@ -696,6 +677,7 @@ def search_counterexamples(
         raise ParameterError(f"theorem id {theorem_id!r} is not searchable; use one of {SEARCHABLE_IDS}")
     if not isinstance(trials, (int, np.integer)) or trials < 1:
         raise ParameterError(f"trials must be a positive integer, got {trials!r}")
+    _require_seed(seed)
     spec = PROPOSITIONS[theorem_id]
     grid = default_grid()
     findings: list[TheoremReport] = []

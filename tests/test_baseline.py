@@ -215,6 +215,17 @@ def test_power_burr_inverse_survival_near_one_and_tiny_levels():
         np.testing.assert_allclose(got, want, rtol=1e-12, atol=0.0, err_msg=f"a={a}, b={b}")
 
 
+def test_power_burr_inverse_survival_past_the_float_range_is_silent():
+    # the answers for the two smallest levels overflow to inf, as for scalar calls
+    d = PowerBurr(0.2, 0.5)
+    u = np.array([1e-300, 1e-100, 1e-20])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = d.inverse_survival(u)
+        want = [d.inverse_survival(v) for v in u]
+    np.testing.assert_array_equal(got, want)
+
+
 def mp_burr_inverse_log_survival(a, b, logs):
     with mp.workdps(30):
         a, b, logs = mp.mpf(a), mp.mpf(b), mp.mpf(logs)

@@ -308,6 +308,15 @@ class TestSearch:
         )
         assert code == 2
 
+    def test_negative_seed_exit_2(self, tmp_path, capsys):
+        out = tmp_path / "f.json"
+        code, _, err = run(
+            ["search", "T6", "--trials", "2", "--seed", "-1", "--out", str(out)], capsys
+        )
+        assert code == 2
+        assert err == "error: seed must be a non-negative integer, got -1\n"
+        assert not out.exists()
+
 
 class TestSample:
     def test_reproducible(self, tmp_path, capsys):
@@ -320,6 +329,16 @@ class TestSample:
             assert code == 0
         assert a.read_text() == b.read_text()
         assert len(a.read_text().strip().split("\n")) == 10
+
+    def test_negative_seed_exit_2(self, tmp_path, capsys):
+        out = tmp_path / "s.txt"
+        code, _, err = run(
+            ["sample", str(cli.bundled_scenario_path(1)), "--n", "3",
+             "--seed", "-1", "--out", str(out)], capsys,
+        )
+        assert code == 2
+        assert err == "error: seed must be a non-negative integer, got -1\n"
+        assert not out.exists()
 
     def test_negative_count_exit_2(self, tmp_path, capsys):
         code, _, _ = run(

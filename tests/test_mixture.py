@@ -463,6 +463,12 @@ class TestSample:
             with pytest.raises(ParameterError):
                 m.sample(n, seed=1)
 
+    def test_seed_validated(self):
+        m = degenerate()
+        for seed in (-1, 1.5, None):
+            with pytest.raises(ParameterError, match="seed must be a non-negative integer"):
+                m.sample(3, seed=seed)
+
     def test_deterministic(self):
         m = MixtureModel.vary_alpha(EXP1, 0.7, [(0.3, 0.4), (0.7, 1.5)])
         a = m.sample(500, seed=123)

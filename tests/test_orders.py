@@ -18,6 +18,7 @@ from mixorder import (
     TTransform,
     check_hr,
     check_lorenz,
+    check_order,
     check_st,
     check_star,
     check_theorem,
@@ -420,6 +421,32 @@ class TestLorenz:
         v = check_lorenz(m, n)
         assert v.holds_leq and not v.holds_geq
         assert v.max_violation_geq == pytest.approx(9.82e-3, rel=0.1)
+
+
+class TestCheckOrder:
+    @pytest.mark.parametrize("k", (1, 5, 6))
+    @pytest.mark.parametrize(
+        "order, check",
+        [("st", check_st), ("hr", check_hr), ("star", check_star),
+         ("lorenz", lambda m1, m2, grid: check_lorenz(m1, m2))],
+    )
+    def test_dispatches_to_the_named_check(self, k, order, check):
+        _, s = example_scenario(k, grid_points=301)
+        a, b = s.model_a(), s.model_b()
+        assert repr(check_order(order, a, b, s.grid)) == repr(check(a, b, s.grid))
+
+    def test_unknown_order_rejected(self):
+        m = degenerate()
+        with pytest.raises(ParameterError, match="unknown order 'lr'"):
+            check_order("lr", m, m, default_grid(11))
+
+    def test_lorenz_errors_pass_through_but_c7_is_inconclusive(self):
+        _, s = example_scenario(7, grid_points=301)
+        with pytest.raises(InfiniteMeanSuspected):
+            check_order("lorenz", s.model_a(), s.model_b(), s.grid)
+        report = check_theorem("C7", s)
+        assert report.inconclusive and report.consistent
+        assert report.conclusion.reason.endswith("so the mean is infinite")
 
 
 # -- sign-function evaluators ------------------------------------------------------

@@ -19,6 +19,7 @@ from mixorder import (
     t7_ratio_monotone,
     verify_example,
 )
+from mixorder.theorems import _ASSERTED, PROPOSITIONS
 
 
 class TestVerifyExamples:
@@ -313,6 +314,11 @@ class TestSearch:
         with pytest.raises(ParameterError):
             search_counterexamples("C7", 10, seed=1)
 
+    def test_seed_validated(self):
+        for seed in (-1, 1.5):
+            with pytest.raises(ParameterError, match="seed must be a non-negative integer"):
+                search_counterexamples("T6", 2, seed=seed)
+
     def test_validated_claims_produce_no_findings(self):
         for tid in ("T1i", "T3i", "T5"):
             assert search_counterexamples(tid, 50, seed=99) == []
@@ -455,6 +461,19 @@ class TestPropositionContract:
         report = check_theorem("C2ii", s)
         assert [h.name for h in report.hypotheses] == [_W, "matrix_a_in_L", _ALPHA_SIDE]
         assert report.notes == _NOTE_L
+
+
+class TestPropositionTable:
+    @pytest.mark.parametrize("tid", sorted(PROPOSITIONS))
+    def test_row_is_well_formed(self, tid):
+        # a misspelt chain such as "2×2" would silently drop the arity check
+        spec = PROPOSITIONS[tid]
+        if spec.order in ("star", "lorenz"):
+            assert spec.chain == ""
+        else:
+            assert spec.chain in ("2x2", "single", "same", "intermediates")
+        assert spec.space in ("K", "L")
+        assert (spec.order, spec.direction) in _ASSERTED
 
 
 class TestFrozenFindings:
