@@ -11,8 +11,8 @@ sample           draw seeded variates from a scenario's model A
 Exit codes: 0 success / 1 conclusion failure / 2 usage or parse error /
 3 numerical failure / 4 inconclusive (tail guard or suspected infinite mean).
 
-The environment variable ``MIXORDER_GRID_POINTS`` overrides the default grid
-resolution (2001 points) wherever a scenario does not pin one explicitly.
+The environment variable ``MIXORDER_GRID_POINTS`` overrides the resolution of
+``default_grid`` wherever a scenario does not pin one explicitly.
 """
 
 from __future__ import annotations
@@ -47,6 +47,7 @@ from .theorems import (  # scenario_to_dict and bundled_scenario_path are re-exp
     Scenario,
     TheoremReport,
     bundled_scenario_path,
+    read_scenario,
     scenario_from_dict,
     scenario_to_dict,
     search_counterexamples,
@@ -68,11 +69,11 @@ _BLOCK_ROWS = 4096
 # -- scenario files -----------------------------------------------------------------
 
 
-def default_grid_points() -> int:
-    """Default grid resolution, overridable via MIXORDER_GRID_POINTS."""
+def default_grid_points() -> int | None:
+    """MIXORDER_GRID_POINTS as a grid resolution, or None (the default grid) when unset."""
     raw = os.environ.get(_GRID_ENV)
     if raw is None:
-        return 2001
+        return None
     try:
         points = int(raw)
     except ValueError:
@@ -88,15 +89,7 @@ def parse_scenario(doc: dict) -> Scenario:
 
 
 def load_scenario(path: str | Path) -> Scenario:
-    try:
-        text = Path(path).read_text(encoding="utf-8")
-    except OSError as exc:
-        raise ScenarioParseError(f"cannot read scenario file {path}: {exc}") from exc
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ScenarioParseError(f"scenario file {path} is not valid JSON: {exc}") from exc
-    return parse_scenario(doc)
+    return read_scenario(path, default_grid_points())[1]
 
 
 def schema_path() -> Path:
@@ -246,8 +239,6 @@ def _cmd_search(args) -> int:
 
 
 def _cmd_sample(args) -> int:
-    if args.n < 1:
-        raise ParameterError(f"sample count must be >= 1, got {args.n}")
     scenario = load_scenario(args.scenario)
     draws = scenario.model_a().sample(args.n, args.seed)
     _atomic_write(Path(args.out), _format_rows([draws], "%.17g\n"))

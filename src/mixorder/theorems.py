@@ -15,8 +15,8 @@ Each proposition's contract lives in one place, its ``PropositionSpec`` row
 in ``PROPOSITIONS``.  ``check_theorem`` looks the row up, evaluates every
 hypothesis, runs the order check, and reports ``consistent = False`` only in
 the red-flag state: all hypotheses satisfied while the conclusion definitively
-fails.  Scenario JSON documents, the bundled ``scenarios/example*.json`` among
-them, are parsed by ``scenario_from_dict`` alone.
+fails.  Scenario JSON files, the bundled ``scenarios/example*.json`` among
+them, are read by ``read_scenario`` alone and parsed by ``scenario_from_dict``.
 """
 
 from __future__ import annotations
@@ -68,6 +68,7 @@ __all__ = [
     "model_from_matrix",
     "scenario_from_dict",
     "scenario_to_dict",
+    "read_scenario",
     "bundled_scenario_path",
     "check_theorem",
     "t7_ratio_monotone",
@@ -152,10 +153,10 @@ class Scenario:
         if self.matrix_b is not None and self.matrix_b.n != self.matrix_a.n:
             raise ShapeError("matrix_a and matrix_b widths differ")
         if self.group_sizes is not None:
-            object.__setattr__(self, "group_sizes", tuple(int(g) for g in self.group_sizes))
-            n1, n2 = self.group_sizes
-            if n1 < 1 or n2 < 1 or n1 + n2 != self.matrix_a.n:
-                raise ShapeError("group sizes must be positive and sum to the matrix width")
+            sizes = tuple(int(g) for g in self.group_sizes)
+            object.__setattr__(self, "group_sizes", sizes)
+            if len(sizes) != 2 or min(sizes) < 1 or sum(sizes) != self.matrix_a.n:
+                raise ShapeError("group sizes must be two positive integers summing to the width")
 
     def resolved_matrix_b(self) -> ParameterMatrix:
         return self.matrix_b if self.matrix_b is not None else self._chain_image
@@ -221,70 +222,66 @@ _SCENARIO_KEYS = {
 _REQUIRED_KEYS = ("baseline", "model_variant", "common_param", "matrix_a")
 _MATRIX_KEYS = ("p", "theta")
 _CHAIN_KEYS = ("omega", "permutation")
-_GRID_KEYS = {"points", "t_min", "t_max"}
+_GRID_KEYS = {"points": int, "t_min": float, "t_max": float}
 
 
-def _require_keys(doc: dict, allowed, where: str, required=()) -> None:
+def _object(doc, where: str, allowed, required=()) -> dict:
+    """``doc`` checked to be a JSON object with keys from ``allowed``, ``required`` among them."""
+    if not isinstance(doc, dict):
+        raise ScenarioParseError(f"{where} must be an object")
     for key in doc:
         if key not in allowed:
             raise ScenarioParseError(f"unknown key {key!r} in {where}")
     for key in required:
         if key not in doc:
             raise ScenarioParseError(f"missing key {key!r} in {where}")
+    return doc
+
+
+def _array(value, where: str) -> list:
+    # tuple() of a string would take its characters as the entries
+    if not isinstance(value, list):
+        raise ScenarioParseError(f"{where} must be an array")
+    return value
 
 
 def _parse_matrix(doc, where: str) -> ParameterMatrix:
-    if not isinstance(doc, dict):
-        raise ScenarioParseError(f"{where} must be an object with keys 'p' and 'theta'")
-    _require_keys(doc, _MATRIX_KEYS, where, _MATRIX_KEYS)
-    return ParameterMatrix(tuple(doc["p"]), tuple(doc["theta"]))
+    doc = _object(doc, where, _MATRIX_KEYS, _MATRIX_KEYS)
+    return ParameterMatrix(*(_array(doc[key], f"{where}.{key}") for key in _MATRIX_KEYS))
 
 
-def scenario_from_dict(doc: dict, grid_points: int) -> tuple[str | None, Scenario]:
+def scenario_from_dict(doc: dict, grid_points: int | None = None) -> tuple[str | None, Scenario]:
     """The proposition id (or None) and the Scenario of a parsed JSON document.
 
-    Unknown keys are rejected by name.  The grid has ``grid_points`` points on
-    ``[1e-4, 1-1e-4]`` unless the document's ``grid`` object pins it.
+    Unknown keys are rejected by name.  The grid is ``default_grid`` with what
+    ``grid_points`` and, over it, the document's ``grid`` object pin.
     """
     try:
-        if not isinstance(doc, dict):
-            raise ScenarioParseError("scenario document must be a JSON object")
-        _require_keys(doc, _SCENARIO_KEYS, "scenario", _REQUIRED_KEYS)
+        doc = _object(doc, "scenario", _SCENARIO_KEYS, _REQUIRED_KEYS)
         if "chain" not in doc and "matrix_b" not in doc:
             raise ScenarioParseError("scenario needs key 'chain' or key 'matrix_b'")
 
-        baseline_doc = doc["baseline"]
-        if not isinstance(baseline_doc, dict):
-            raise ScenarioParseError("key 'baseline' must be an object")
-        _require_keys(baseline_doc, {"kind", "params"}, "baseline")
-        if "kind" not in baseline_doc or "params" not in baseline_doc:
-            raise ScenarioParseError("baseline needs keys 'kind' and 'params'")
+        baseline_doc = _object(doc["baseline"], "baseline", ("kind", "params"), ("kind", "params"))
         baseline = make_baseline(baseline_doc["kind"], **baseline_doc["params"])
 
         chain = None
         if "chain" in doc:
-            parsed = []
-            for i, entry in enumerate(doc["chain"]):
-                _require_keys(entry, _CHAIN_KEYS, f"chain[{i}]", _CHAIN_KEYS)
-                parsed.append(TTransform(omega=float(entry["omega"]),
-                                         permutation=tuple(entry["permutation"])))
-            chain = tuple(parsed)
+            chain = []
+            for i, entry in enumerate(_array(doc["chain"], "chain")):
+                entry = _object(entry, f"chain[{i}]", _CHAIN_KEYS, _CHAIN_KEYS)
+                permutation = _array(entry["permutation"], f"chain[{i}].permutation")
+                chain.append(TTransform(float(entry["omega"]), permutation))
 
         matrix_b = _parse_matrix(doc["matrix_b"], "matrix_b") if "matrix_b" in doc else None
 
-        grid_doc = doc.get("grid", {})
-        _require_keys(grid_doc, _GRID_KEYS, "grid")
-        grid = default_grid(
-            points=int(grid_doc.get("points", grid_points)),
-            t_min=float(grid_doc.get("t_min", 1e-4)),
-            t_max=float(grid_doc.get("t_max", 1.0 - 1e-4)),
-        )
+        pins = {} if grid_points is None else {"points": grid_points}
+        pins.update(_object(doc.get("grid", {}), "grid", _GRID_KEYS))
+        grid = default_grid(**{key: _GRID_KEYS[key](value) for key, value in pins.items()})
 
         theorem_id = doc.get("theorem_id")
         if theorem_id is not None and theorem_id not in THEOREM_IDS:
             raise ScenarioParseError(f"unknown value for key 'theorem_id': {theorem_id!r}")
 
-        group_sizes = doc.get("group_sizes")
         return theorem_id, Scenario(
             baseline=baseline,
             variant=doc["model_variant"],
@@ -293,12 +290,25 @@ def scenario_from_dict(doc: dict, grid_points: int) -> tuple[str | None, Scenari
             chain=chain,
             matrix_b=matrix_b,
             grid=grid,
-            group_sizes=tuple(int(g) for g in group_sizes) if group_sizes else None,
+            group_sizes=_array(doc["group_sizes"], "group_sizes") if "group_sizes" in doc else None,
         )
     except (TypeError, ValueError) as exc:
         if isinstance(exc, ParameterError):
             raise
         raise ScenarioParseError(f"malformed scenario value: {exc}") from exc
+
+
+def read_scenario(path: str | Path, grid_points: int | None = None) -> tuple[str | None, Scenario]:
+    """The proposition id (or None) and the Scenario of a JSON file, as ``scenario_from_dict``."""
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except OSError as exc:
+        raise ScenarioParseError(f"cannot read scenario file {path}: {exc}") from exc
+    try:
+        doc = json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise ScenarioParseError(f"scenario file {path} is not valid JSON: {exc}") from exc
+    return scenario_from_dict(doc, grid_points)
 
 
 def scenario_to_dict(s: Scenario, theorem_id: str | None = None) -> dict:
@@ -645,12 +655,8 @@ def check_theorem(theorem_id: str, s: Scenario) -> TheoremReport:
 
 
 def example_scenario(k: int, grid_points: int | None = None) -> tuple[str, Scenario]:
-    """The k-th bundled reference scenario (``scenarios/example{k}.json``) and its id.
-
-    The grid has 2001 points unless ``grid_points`` is given.
-    """
-    doc = json.loads(bundled_scenario_path(k).read_text(encoding="utf-8"))
-    return scenario_from_dict(doc, 2001 if grid_points is None else grid_points)
+    """The k-th bundled reference scenario (``scenarios/example{k}.json``) and its id."""
+    return read_scenario(bundled_scenario_path(k), grid_points)
 
 
 def verify_example(k: int, grid_points: int | None = None) -> TheoremReport:
@@ -668,10 +674,10 @@ def search_counterexamples(
 ) -> list[TheoremReport]:
     """Sample hypothesis-satisfying scenarios and collect inconsistent reports.
 
-    Scenarios are drawn by rejection sampling and checked on ``default_grid()``,
-    the 2001-point grid; trial k uses the deterministic stream seeded by
-    (seed, k), so runs are reproducible and parallelizable.  An empty result
-    means no counterexample was found, not a proof.
+    Scenarios are drawn by rejection sampling and checked on ``default_grid()``;
+    trial k uses the deterministic stream seeded by (seed, k), so runs are
+    reproducible and parallelizable.  An empty result means no counterexample
+    was found, not a proof.
     """
     if theorem_id not in SEARCHABLE_IDS:
         raise ParameterError(f"theorem id {theorem_id!r} is not searchable; use one of {SEARCHABLE_IDS}")

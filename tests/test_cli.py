@@ -9,7 +9,7 @@ import pytest
 
 from mixorder import MixtureModel, cli
 from mixorder.orders import OrderVerdict, _undecided
-from mixorder.theorems import HypothesisCheck, TheoremReport, example_scenario
+from mixorder.theorems import HypothesisCheck, TheoremReport, example_scenario, scenario_from_dict
 
 
 def run(argv, capsys):
@@ -21,6 +21,51 @@ def run(argv, capsys):
 @pytest.fixture(scope="module")
 def schema():
     return json.loads(cli.schema_path().read_text())
+
+
+_DELETED = object()
+
+# (example id, key path, value or _DELETED, text the error names); path () is the document
+MALFORMED = [
+    (1, (), ["not", "an", "object"], "scenario must be an object"),
+    (1, ("baseline",), "exponential", "baseline must be an object"),
+    (1, ("baseline", "kind"), _DELETED, "missing key 'kind' in baseline"),
+    (1, ("matrix_a",), [[0.6, 0.4], [0.3, 0.4]], "matrix_a must be an object"),
+    (7, ("matrix_b",), [], "matrix_b must be an object"),
+    (1, ("grid",), [], "grid must be an object"),
+    (1, ("chain",), "T", "chain must be an array"),
+    (1, ("chain", 0), [0.4, [1, 0]], "chain[0] must be an object"),
+    (1, ("chain",), _DELETED, "scenario needs key 'chain' or key 'matrix_b'"),
+    (1, ("matrix_a", "p"), "55", "matrix_a.p must be an array"),
+    (1, ("matrix_a", "theta"), "34", "matrix_a.theta must be an array"),
+    (1, ("chain", 0, "permutation"), "10", "chain[0].permutation must be an array"),
+    (7, ("group_sizes",), "32", "group_sizes must be an array"),
+    (1, ("theorem_id",), "T99", "unknown value for key 'theorem_id': 'T99'"),
+    (1, ("common_param",), "fast", "malformed scenario value: could not convert"),
+]
+
+
+def _case_id(case):
+    _, path, value, _ = case
+    kind = "deleted" if value is _DELETED else type(value).__name__
+    return f"{'.'.join(map(str, path)) or 'document'}={kind}"
+
+
+MALFORMED_IDS = [_case_id(case) for case in MALFORMED]
+
+
+def malformed_doc(k, path, value):
+    doc = json.loads(cli.bundled_scenario_path(k).read_text())
+    if not path:
+        return value
+    parent = doc
+    for key in path[:-1]:
+        parent = parent[key]
+    if value is _DELETED:
+        del parent[path[-1]]
+    else:
+        parent[path[-1]] = value
+    return doc
 
 
 class TestScenarioFiles:
@@ -58,6 +103,16 @@ class TestScenarioFiles:
         del doc["matrix_a"]
         with pytest.raises(cli.ScenarioParseError, match="matrix_a"):
             cli.parse_scenario(doc)
+
+    @pytest.mark.parametrize("k, path, value, message", MALFORMED, ids=MALFORMED_IDS)
+    def test_malformed_document_named(self, k, path, value, message):
+        with pytest.raises(cli.ScenarioParseError) as info:
+            scenario_from_dict(malformed_doc(k, path, value))
+        assert message in str(info.value)
+
+    def test_default_grid_points_unset_is_none(self, monkeypatch):
+        monkeypatch.delenv("MIXORDER_GRID_POINTS", raising=False)
+        assert cli.default_grid_points() is None
 
 
 class TestCurve:
@@ -122,6 +177,22 @@ class TestCurve:
         assert code == 2
         assert "bad.json" in err
 
+    @pytest.mark.parametrize("k, path, value, message", MALFORMED, ids=MALFORMED_IDS)
+    def test_malformed_document_exits_2(self, tmp_path, capsys, k, path, value, message):
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(malformed_doc(k, path, value)))
+        out = tmp_path / "o.csv"
+        code, stdout, err = run(["curve", str(bad), "--out", str(out)], capsys)
+        assert code == 2
+        assert stdout == "" and err.startswith("error: ") and message in err
+        assert not out.exists()
+
+    def test_missing_file_exits_2(self, tmp_path, capsys):
+        missing = tmp_path / "absent.json"
+        code, _, err = run(["curve", str(missing), "--out", str(tmp_path / "o.csv")], capsys)
+        assert code == 2
+        assert err.startswith(f"error: cannot read scenario file {missing}: ")
+
     def test_unknown_scenario_key_exits_2(self, tmp_path, capsys):
         doc = json.loads(cli.bundled_scenario_path(1).read_text())
         doc["shape"] = 3
@@ -147,6 +218,23 @@ class TestVerifyExamples:
     def test_empty_ids_exit_2(self, capsys):
         code, _, err = run(["verify-examples", "--ids", ""], capsys)
         assert code == 2
+
+    @pytest.mark.parametrize("ids, message", [
+        ("1,x", "example ids must be integers, got 'x'"),
+        ("9", "example ids must be in (1, 2, 3, 4, 5, 6, 7), got 9"),
+    ])
+    def test_bad_ids_exit_2(self, capsys, ids, message):
+        code, out, err = run(["verify-examples", "--ids", ids], capsys)
+        assert code == 2
+        assert out == "" and err == f"error: {message}\n"
+
+    def test_json_to_stdout_validates_against_schema(self, capsys, schema, monkeypatch):
+        monkeypatch.setenv("MIXORDER_GRID_POINTS", "301")
+        code, out, _ = run(["verify-examples", "--ids", "1,6", "--format", "json"], capsys)
+        assert code == 0
+        doc = json.loads(out)
+        jsonschema.validate(doc, schema)
+        assert [r["theorem_id"] for r in doc["reports"]] == ["T1i", "T5"]
 
     def test_json_output_validates_against_schema(self, tmp_path, capsys, schema, monkeypatch):
         monkeypatch.setenv("MIXORDER_GRID_POINTS", "301")
@@ -254,6 +342,19 @@ class TestCheckOrder:
         assert code == 4
         assert err.startswith("inconclusive: quantile level")
 
+    def test_star_tail_guard_inconclusive_exits_4(self, tmp_path, capsys):
+        doc = {
+            "baseline": {"kind": "power_burr", "params": {"a": 1.0, "b": 1.2}},
+            "model_variant": "vary_alpha", "common_param": 1.0,
+            "matrix_a": {"p": [0.5, 0.5], "theta": [1, 1]},
+            "matrix_b": {"p": [0.5, 0.5], "theta": [1e17, 1e17]},
+        }
+        path = tmp_path / "guard.json"
+        path.write_text(json.dumps(doc))
+        code, out, _ = run(["check-order", str(path), "--order", "star"], capsys)
+        assert code == 4
+        assert out.startswith("inconclusive: ") and "lies past cdf(1e+18)" in out
+
     def test_hr_on_balanced_pair(self, capsys):
         code, out, _ = run(
             ["check-order", str(cli.bundled_scenario_path(6)), "--order", "hr"], capsys
@@ -346,6 +447,15 @@ class TestSample:
              "--seed", "7", "--out", str(tmp_path / "s.txt")], capsys,
         )
         assert code == 2
+
+    def test_zero_count_exits_2_with_model_message(self, tmp_path, capsys):
+        out = tmp_path / "s.txt"
+        code, _, err = run(
+            ["sample", str(cli.bundled_scenario_path(1)), "--n", "0", "--out", str(out)], capsys
+        )
+        assert code == 2
+        assert err == "error: sample count must be a positive integer, got 0\n"
+        assert not out.exists()
 
     def test_large_sample_matches_analytic_survival(self, tmp_path, capsys):
         out = tmp_path / "draws.txt"

@@ -1,3 +1,6 @@
+import json
+from dataclasses import replace
+
 import mpmath as mp
 import numpy as np
 import pytest
@@ -19,7 +22,7 @@ from mixorder import (
     t7_ratio_monotone,
     verify_example,
 )
-from mixorder.theorems import _ASSERTED, PROPOSITIONS
+from mixorder.theorems import _ASSERTED, PROPOSITIONS, bundled_scenario_path, read_scenario
 
 
 class TestVerifyExamples:
@@ -69,6 +72,27 @@ class TestVerifyExamples:
     def test_reports_are_pure(self):
         tid, s = example_scenario(1)
         assert check_theorem(tid, s) == check_theorem(tid, s)
+
+
+class TestReadScenario:
+    def test_default_grid_unless_pinned(self):
+        _, s = read_scenario(bundled_scenario_path(1))
+        assert np.array_equal(s.grid.t_values, default_grid().t_values)
+        _, s = read_scenario(bundled_scenario_path(1), grid_points=301)
+        assert np.array_equal(s.grid.t_values, default_grid(301).t_values)
+
+    def test_document_grid_pins_over_grid_points(self, tmp_path):
+        doc = json.loads(bundled_scenario_path(1).read_text())
+        doc["grid"] = {"t_min": 0.25}
+        path = tmp_path / "pinned.json"
+        path.write_text(json.dumps(doc))
+        tid, s = read_scenario(path, grid_points=11)
+        assert tid == "T1i"
+        assert np.array_equal(s.grid.t_values, default_grid(11, t_min=0.25).t_values)
+        doc["grid"] = {"points": 5}
+        path.write_text(json.dumps(doc))
+        _, s = read_scenario(path, grid_points=11)
+        assert np.array_equal(s.grid.t_values, default_grid(5).t_values)
 
 
 class TestCheckTheorem:
@@ -147,6 +171,12 @@ class TestCheckTheorem:
         )
         with pytest.raises(ShapeError):
             check_theorem("T7", stripped)
+
+    @pytest.mark.parametrize("sizes", [(5,), (1, 2, 2), (0, 5), (2, 2)])
+    def test_group_sizes_are_two_positive_integers(self, sizes):
+        _, s = example_scenario(7)
+        with pytest.raises(ShapeError, match="group sizes must be two positive integers"):
+            replace(s, group_sizes=sizes)
 
     def test_matrix_b_only_scenario_cannot_verify_chain(self):
         s = Scenario(
