@@ -5,20 +5,21 @@ Two concrete families are built in, both supported on (0, inf):
 * ``Exponential(rate=a)``        -- S(x) = exp(-a x)
 * ``PowerBurr(shape_a, shape_b)`` -- S(x) = (1 + x**a) ** (-b)
 
-A baseline family implements ``log_survival``, ``hazard``,
-``inverse_log_survival``, ``tail_index`` and ``params``, and checks its
-parameters on construction.  ``BaselineDistribution`` derives the rest, once
-for every family: ``survival = exp(log_survival)``, ``density = hazard *
-survival`` and ``inverse_survival(u) = inverse_log_survival(log u)``.
-Mixtures, orders and propositions reach a baseline only through these
-methods, so a further family is one subclass and one entry in
-``make_baseline``'s registry, with no change to dependent modules.
+A baseline family is a frozen dataclass whose fields are its parameters.  It
+implements ``log_survival``, ``hazard``, ``inverse_log_survival`` and
+``tail_index`` and declares ``param_names``, the ``make_baseline`` names of its
+fields.  ``BaselineDistribution`` does the rest once for every family: it
+validates the fields (> 0 and finite) and serializes them (``params()``), and
+derives ``survival = exp(log_survival)``, ``density = hazard * survival`` and
+``inverse_survival(u) = inverse_log_survival(log u)``.  Mixtures, orders and
+propositions reach a baseline only through these methods, so a further family
+is one subclass and one entry in ``make_baseline``'s registry.
 """
 
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -59,6 +60,13 @@ class BaselineDistribution(ABC):
     """
 
     kind: str
+    param_names: tuple[str, ...]
+
+    def __post_init__(self):
+        for f in fields(self):
+            v = getattr(self, f.name)
+            if not (v > 0 and np.isfinite(v)):
+                raise ParameterError(f"{self.kind} {f.name} must be > 0, got {v!r}")
 
     @abstractmethod
     def log_survival(self, x): ...
@@ -91,7 +99,7 @@ class BaselineDistribution(ABC):
 
     def params(self) -> dict[str, float]:
         """Constructor parameters, keyed as accepted by :func:`make_baseline`."""
-        raise NotImplementedError
+        return {name: getattr(self, f.name) for name, f in zip(self.param_names, fields(self))}
 
 
 @dataclass(frozen=True)
@@ -99,11 +107,8 @@ class Exponential(BaselineDistribution):
     rate: float
 
     kind = "exponential"
+    param_names = ("a",)
     tail_index = float("inf")
-
-    def __post_init__(self):
-        if not (self.rate > 0 and np.isfinite(self.rate)):
-            raise ParameterError(f"exponential rate must be > 0, got {self.rate!r}")
 
     def log_survival(self, x):
         return -self.rate * _as_nonneg_array(x)
@@ -114,9 +119,6 @@ class Exponential(BaselineDistribution):
     def inverse_log_survival(self, logs):
         return -_as_log_survival_level(logs) / self.rate
 
-    def params(self) -> dict[str, float]:
-        return {"a": self.rate}
-
 
 @dataclass(frozen=True)
 class PowerBurr(BaselineDistribution):
@@ -124,11 +126,7 @@ class PowerBurr(BaselineDistribution):
     shape_b: float
 
     kind = "power_burr"
-
-    def __post_init__(self):
-        for name, v in (("shape_a", self.shape_a), ("shape_b", self.shape_b)):
-            if not (v > 0 and np.isfinite(v)):
-                raise ParameterError(f"power_burr {name} must be > 0, got {v!r}")
+    param_names = ("a", "b")
 
     def log_survival(self, x):
         arr = _as_nonneg_array(x)
@@ -160,14 +158,8 @@ class PowerBurr(BaselineDistribution):
     def tail_index(self) -> float:
         return self.shape_a * self.shape_b
 
-    def params(self) -> dict[str, float]:
-        return {"a": self.shape_a, "b": self.shape_b}
 
-
-_REGISTRY = {
-    "exponential": (Exponential, ("a",)),
-    "power_burr": (PowerBurr, ("a", "b")),
-}
+_REGISTRY = {cls.kind: cls for cls in (Exponential, PowerBurr)}
 
 
 def make_baseline(kind: str, **params: float) -> BaselineDistribution:
@@ -177,11 +169,12 @@ def make_baseline(kind: str, **params: float) -> BaselineDistribution:
     ``make_baseline("power_burr", a=0.2, b=0.5)``.
     """
     try:
-        cls, names = _REGISTRY[kind]
+        cls = _REGISTRY[kind]
     except KeyError:
         raise ParameterError(
             f"unknown baseline kind {kind!r}; known: {sorted(_REGISTRY)}"
         ) from None
+    names = cls.param_names
     missing = [n for n in names if n not in params]
     extra = [n for n in params if n not in names]
     if missing or extra:

@@ -299,7 +299,7 @@ def main(argv: list[str] | None = None) -> int:
         return int(exc.code) if exc.code else EXIT_OK
     try:
         return args.handler(args)
-    except (ScenarioParseError, ParameterError, DomainError, ShapeError) as exc:
+    except (ParameterError, DomainError, ShapeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except NumericalError as exc:

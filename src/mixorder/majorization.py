@@ -99,15 +99,16 @@ class TTransform:
         return self.omega * np.eye(n) + (1.0 - self.omega) * p
 
 
-def _sorted_prefix_sums(v: Sequence[float]) -> np.ndarray:
-    return np.cumsum(np.sort(np.asarray(v, dtype=float)))
+def _sorted_prefix_sums(a: Sequence[float], b: Sequence[float]) -> np.ndarray:
+    """The prefix sums of sorted(a) and of sorted(b), as the rows of one array."""
+    if len(a) != len(b):
+        raise ShapeError(f"vector lengths differ: {len(a)} vs {len(b)}")
+    return np.cumsum(np.sort(np.asarray([a, b], dtype=float), axis=1), axis=1)
 
 
 def majorizes(a: Sequence[float], b: Sequence[float]) -> bool:
     """True when a majorizes b: prefix dominance of sorted vectors, equal totals."""
-    if len(a) != len(b):
-        raise ShapeError(f"vector lengths differ: {len(a)} vs {len(b)}")
-    ca, cb = _sorted_prefix_sums(a), _sorted_prefix_sums(b)
+    ca, cb = _sorted_prefix_sums(a, b)
     if abs(ca[-1] - cb[-1]) > _ORDER_SLACK:
         return False
     return bool(np.all(ca[:-1] <= cb[:-1] + _ORDER_SLACK))
@@ -115,9 +116,7 @@ def majorizes(a: Sequence[float], b: Sequence[float]) -> bool:
 
 def weakly_supermajorizes(a: Sequence[float], b: Sequence[float]) -> bool:
     """True when every prefix sum of sorted(a) is <= the one of sorted(b)."""
-    if len(a) != len(b):
-        raise ShapeError(f"vector lengths differ: {len(a)} vs {len(b)}")
-    ca, cb = _sorted_prefix_sums(a), _sorted_prefix_sums(b)
+    ca, cb = _sorted_prefix_sums(a, b)
     return bool(np.all(ca <= cb + _ORDER_SLACK))
 
 

@@ -248,8 +248,7 @@ class MixtureModel:
 
     def sample(self, n: int, seed: int) -> np.ndarray:
         """Inverse-transform sampling: pick a component, invert its survival."""
-        if not isinstance(n, (int, np.integer)) or n < 1:
-            raise ParameterError(f"sample count must be a positive integer, got {n!r}")
+        _require_count(n, "sample count")
         _require_seed(seed)
         rng = np.random.default_rng(seed)
         idx = rng.choice(self.n_components, size=n, p=np.asarray(self.weights))
@@ -263,6 +262,11 @@ class MixtureModel:
 def _require_seed(seed) -> None:
     if not isinstance(seed, (int, np.integer)) or seed < 0:
         raise ParameterError(f"seed must be a non-negative integer, got {seed!r}")
+
+
+def _require_count(value, what: str) -> None:
+    if not isinstance(value, (int, np.integer)) or value < 1:
+        raise ParameterError(f"{what} must be a positive integer, got {value!r}")
 
 
 def _sum_rows(rows):
@@ -365,8 +369,7 @@ class EvaluationGrid:
 
 def default_grid(points: int = 2001, t_min: float = 1e-4, t_max: float = 1.0 - 1e-4) -> EvaluationGrid:
     """Uniform t-grid on [t_min, t_max]; the endpoints t = 0, 1 are singular."""
-    if not isinstance(points, (int, np.integer)) or points < 1:
-        raise ParameterError(f"grid points must be a positive integer, got {points!r}")
+    _require_count(points, "grid points")
     return EvaluationGrid(np.linspace(t_min, t_max, int(points)))
 
 

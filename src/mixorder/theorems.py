@@ -21,9 +21,10 @@ them, are read by ``read_scenario`` alone and parsed by ``scenario_from_dict``.
 
 from __future__ import annotations
 
+import itertools
 import json
 from dataclasses import dataclass, field, replace
-from functools import cached_property, partial
+from functools import partial
 from importlib import resources
 from pathlib import Path
 from typing import Callable
@@ -41,12 +42,12 @@ from .errors import (
 from .majorization import (
     ParameterMatrix,
     TTransform,
-    apply_chain,
+    apply_t_transform,
     in_space,
     same_structure,
     verify_chain_witness,
 )
-from .mixture import EvaluationGrid, MixtureModel, _require_seed, default_grid
+from .mixture import EvaluationGrid, MixtureModel, _require_count, _require_seed, default_grid
 from .orders import (
     DEFAULT_SLACK,
     OrderVerdict,
@@ -145,11 +146,9 @@ class Scenario:
             raise ParameterError("scenario needs a transform chain or an explicit matrix_b")
         if self.chain is not None:
             object.__setattr__(self, "chain", tuple(self.chain))
-            for t in self.chain:
-                if t.n != self.matrix_a.n:
-                    raise ShapeError(
-                        f"transform size {t.n} does not match matrix width {self.matrix_a.n}"
-                    )
+            # A, A*T1, ..., A*T1..Tk; verify_chain_witness recomputes the last, as its check
+            images = itertools.accumulate(self.chain, apply_t_transform, initial=self.matrix_a)
+            object.__setattr__(self, "_chain_images", tuple(images))
         if self.matrix_b is not None and self.matrix_b.n != self.matrix_a.n:
             raise ShapeError("matrix_a and matrix_b widths differ")
         if self.group_sizes is not None:
@@ -159,12 +158,7 @@ class Scenario:
                 raise ShapeError("group sizes must be two positive integers summing to the width")
 
     def resolved_matrix_b(self) -> ParameterMatrix:
-        return self.matrix_b if self.matrix_b is not None else self._chain_image
-
-    @cached_property
-    def _chain_image(self) -> ParameterMatrix:
-        # computed once here; verify_chain_witness recomputes it, as its check
-        return apply_chain(self.matrix_a, self.chain)
+        return self.matrix_b if self.matrix_b is not None else self._chain_images[-1]
 
     def model_a(self) -> MixtureModel:
         return model_from_matrix(self.matrix_a, self.variant, self.common_param, self.baseline)
@@ -225,12 +219,12 @@ _CHAIN_KEYS = ("omega", "permutation")
 _GRID_KEYS = {"points": int, "t_min": float, "t_max": float}
 
 
-def _object(doc, where: str, allowed, required=()) -> dict:
-    """``doc`` checked to be a JSON object with keys from ``allowed``, ``required`` among them."""
+def _object(doc, where: str, allowed=None, required=()) -> dict:
+    """``doc`` checked to be a JSON object: keys from ``allowed`` if given, ``required`` present."""
     if not isinstance(doc, dict):
         raise ScenarioParseError(f"{where} must be an object")
     for key in doc:
-        if key not in allowed:
+        if allowed is not None and key not in allowed:
             raise ScenarioParseError(f"unknown key {key!r} in {where}")
     for key in required:
         if key not in doc:
@@ -245,16 +239,33 @@ def _array(value, where: str) -> list:
     return value
 
 
+def _number(value, where: str, kind: type = float):
+    """``value`` as ``kind``, checked to be a JSON number (``float``) or integer (``int``)."""
+    # float() and int() would also take strings and booleans, and int() truncates
+    if isinstance(value, bool) or not isinstance(value, (int, float) if kind is float else int):
+        noun = "number" if kind is float else "integer"
+        raise ScenarioParseError(
+            f"malformed scenario value: could not convert {where}: {value!r} is not a JSON {noun}"
+        )
+    return kind(value)
+
+
+def _numbers(value, where: str, kind: type = float) -> list:
+    return [_number(v, f"{where}[{i}]", kind) for i, v in enumerate(_array(value, where))]
+
+
 def _parse_matrix(doc, where: str) -> ParameterMatrix:
     doc = _object(doc, where, _MATRIX_KEYS, _MATRIX_KEYS)
-    return ParameterMatrix(*(_array(doc[key], f"{where}.{key}") for key in _MATRIX_KEYS))
+    return ParameterMatrix(*(_numbers(doc[key], f"{where}.{key}") for key in _MATRIX_KEYS))
 
 
 def scenario_from_dict(doc: dict, grid_points: int | None = None) -> tuple[str | None, Scenario]:
     """The proposition id (or None) and the Scenario of a parsed JSON document.
 
-    Unknown keys are rejected by name.  The grid is ``default_grid`` with what
-    ``grid_points`` and, over it, the document's ``grid`` object pin.
+    Unknown keys are rejected by name, and a value that is not a JSON number (or,
+    for ``grid.points``, ``permutation`` and ``group_sizes``, a JSON integer) by
+    its key.  The grid is ``default_grid`` with what ``grid_points`` and, over
+    it, the document's ``grid`` object pin.
     """
     try:
         doc = _object(doc, "scenario", _SCENARIO_KEYS, _REQUIRED_KEYS)
@@ -262,21 +273,25 @@ def scenario_from_dict(doc: dict, grid_points: int | None = None) -> tuple[str |
             raise ScenarioParseError("scenario needs key 'chain' or key 'matrix_b'")
 
         baseline_doc = _object(doc["baseline"], "baseline", ("kind", "params"), ("kind", "params"))
-        baseline = make_baseline(baseline_doc["kind"], **baseline_doc["params"])
+        params = _object(baseline_doc["params"], "baseline.params")
+        params = {key: _number(v, f"baseline.params.{key}") for key, v in params.items()}
+        baseline = make_baseline(baseline_doc["kind"], **params)
 
         chain = None
         if "chain" in doc:
             chain = []
             for i, entry in enumerate(_array(doc["chain"], "chain")):
                 entry = _object(entry, f"chain[{i}]", _CHAIN_KEYS, _CHAIN_KEYS)
-                permutation = _array(entry["permutation"], f"chain[{i}].permutation")
-                chain.append(TTransform(float(entry["omega"]), permutation))
+                permutation = _numbers(entry["permutation"], f"chain[{i}].permutation", int)
+                chain.append(TTransform(_number(entry["omega"], f"chain[{i}].omega"), permutation))
 
         matrix_b = _parse_matrix(doc["matrix_b"], "matrix_b") if "matrix_b" in doc else None
+        sizes = _numbers(doc["group_sizes"], "group_sizes", int) if "group_sizes" in doc else None
 
         pins = {} if grid_points is None else {"points": grid_points}
-        pins.update(_object(doc.get("grid", {}), "grid", _GRID_KEYS))
-        grid = default_grid(**{key: _GRID_KEYS[key](value) for key, value in pins.items()})
+        for key, value in _object(doc.get("grid", {}), "grid", _GRID_KEYS).items():
+            pins[key] = _number(value, f"grid.{key}", _GRID_KEYS[key])
+        grid = default_grid(**pins)
 
         theorem_id = doc.get("theorem_id")
         if theorem_id is not None and theorem_id not in THEOREM_IDS:
@@ -285,12 +300,12 @@ def scenario_from_dict(doc: dict, grid_points: int | None = None) -> tuple[str |
         return theorem_id, Scenario(
             baseline=baseline,
             variant=doc["model_variant"],
-            common_param=float(doc["common_param"]),
+            common_param=_number(doc["common_param"], "common_param"),
             matrix_a=_parse_matrix(doc["matrix_a"], "matrix_a"),
             chain=chain,
             matrix_b=matrix_b,
             grid=grid,
-            group_sizes=_array(doc["group_sizes"], "group_sizes") if "group_sizes" in doc else None,
+            group_sizes=sizes,
         )
     except (TypeError, ValueError) as exc:
         if isinstance(exc, ParameterError):
@@ -302,7 +317,7 @@ def read_scenario(path: str | Path, grid_points: int | None = None) -> tuple[str
     """The proposition id (or None) and the Scenario of a JSON file, as ``scenario_from_dict``."""
     try:
         text = Path(path).read_text(encoding="utf-8")
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ScenarioParseError(f"cannot read scenario file {path}: {exc}") from exc
     try:
         doc = json.loads(text)
@@ -372,9 +387,7 @@ def _hyp_chain(s: Scenario, spec: PropositionSpec) -> list[HypothesisCheck]:
         ))
         inter_ok = True
         detail = []
-        m = s.matrix_a
-        for i, t in enumerate(s.chain[:-1], start=1):
-            m = apply_chain(m, [t])
+        for i, m in enumerate(s._chain_images[1:-1], start=1):
             member = in_space(m, spec.space)
             inter_ok &= member
             detail.append(f"A*T1..T{i} in {spec.space}: {member}")
@@ -681,8 +694,7 @@ def search_counterexamples(
     """
     if theorem_id not in SEARCHABLE_IDS:
         raise ParameterError(f"theorem id {theorem_id!r} is not searchable; use one of {SEARCHABLE_IDS}")
-    if not isinstance(trials, (int, np.integer)) or trials < 1:
-        raise ParameterError(f"trials must be a positive integer, got {trials!r}")
+    _require_count(trials, "trials")
     _require_seed(seed)
     spec = PROPOSITIONS[theorem_id]
     grid = default_grid()

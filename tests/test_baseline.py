@@ -28,11 +28,33 @@ def test_make_baseline_power_burr():
         ("exponential", {"a": -1.0}),
         ("power_burr", {"a": 0.0, "b": 0.5}),
         ("power_burr", {"a": 0.2, "b": -0.5}),
+        ("exponential", {"a": math.inf}),
+        ("power_burr", {"a": 0.2, "b": math.nan}),
     ],
 )
 def test_degenerate_parameters_rejected(kind, params):
     with pytest.raises(ParameterError):
         make_baseline(kind, **params)
+
+
+@pytest.mark.parametrize(
+    "cls, args, message",
+    [
+        (Exponential, (0.0,), "exponential rate must be > 0, got 0.0"),
+        (PowerBurr, (1.0, -1.0), "power_burr shape_b must be > 0, got -1.0"),
+        (PowerBurr, (math.nan, 1.0), "power_burr shape_a must be > 0, got nan"),
+    ],
+)
+def test_degenerate_parameter_named(cls, args, message):
+    with pytest.raises(ParameterError) as info:
+        cls(*args)
+    assert str(info.value) == message
+
+
+@pytest.mark.parametrize("b", [Exponential(0.7), PowerBurr(0.2, 0.5)], ids=lambda b: b.kind)
+def test_params_round_trip(b):
+    assert list(b.params()) == list(b.param_names)
+    assert make_baseline(b.kind, **b.params()) == b
 
 
 def test_unknown_kind_and_wrong_params_rejected():

@@ -42,6 +42,23 @@ MALFORMED = [
     (7, ("group_sizes",), "32", "group_sizes must be an array"),
     (1, ("theorem_id",), "T99", "unknown value for key 'theorem_id': 'T99'"),
     (1, ("common_param",), "fast", "malformed scenario value: could not convert"),
+    # numbers must be JSON numbers and counts JSON integers, booleans neither
+    (1, ("common_param",), "0.1", "could not convert common_param: '0.1' is not a JSON number"),
+    (1, ("common_param",), True, "could not convert common_param: True is not a JSON number"),
+    (1, ("chain", 0, "omega"), "0.4", "could not convert chain[0].omega: '0.4' is not a JSON number"),
+    (7, ("baseline", "params", "b"), "0.5", "baseline.params.b: '0.5' is not a JSON number"),
+    (1, ("baseline", "params"), [0.2], "baseline.params must be an object"),
+    (1, ("grid",), {"points": 301.9}, "could not convert grid.points: 301.9 is not a JSON integer"),
+    (1, ("grid",), {"points": True}, "grid.points: True is not a JSON integer"),
+    (1, ("grid",), {"t_min": "0.001"}, "grid.t_min: '0.001' is not a JSON number"),
+    (1, ("grid",), {"t_max": False}, "grid.t_max: False is not a JSON number"),
+    (1, ("matrix_a", "p", 0), "0.6", "matrix_a.p[0]: '0.6' is not a JSON number"),
+    (1, ("matrix_a", "theta", 1), True, "matrix_a.theta[1]: True is not a JSON number"),
+    (7, ("matrix_b", "theta", 0), "6", "matrix_b.theta[0]: '6' is not a JSON number"),
+    (1, ("chain", 0, "permutation", 0), 1.0, "chain[0].permutation[0]: 1.0 is not a JSON integer"),
+    (1, ("chain", 0, "permutation", 1), False, "chain[0].permutation[1]: False is not a JSON integer"),
+    (7, ("group_sizes", 0), 3.0, "group_sizes[0]: 3.0 is not a JSON integer"),
+    (7, ("group_sizes", 1), "2", "group_sizes[1]: '2' is not a JSON integer"),
 ]
 
 
@@ -51,7 +68,16 @@ def _case_id(case):
     return f"{'.'.join(map(str, path)) or 'document'}={kind}"
 
 
-MALFORMED_IDS = [_case_id(case) for case in MALFORMED]
+def _case_ids(cases):
+    # a repeated id is told apart by its value, so the first case keeps the plain id
+    ids = []
+    for case in cases:
+        case_id = _case_id(case)
+        ids.append(f"{case_id}:{case[2]!r}" if case_id in ids else case_id)
+    return ids
+
+
+MALFORMED_IDS = _case_ids(MALFORMED)
 
 
 def malformed_doc(k, path, value):
@@ -185,6 +211,17 @@ class TestCurve:
         code, stdout, err = run(["curve", str(bad), "--out", str(out)], capsys)
         assert code == 2
         assert stdout == "" and err.startswith("error: ") and message in err
+        assert not out.exists()
+
+    def test_non_utf8_file_exits_2(self, tmp_path, capsys):
+        bad = tmp_path / "latin1.json"
+        text = cli.bundled_scenario_path(1).read_text(encoding="utf-8")
+        bad.write_bytes(text.replace('"T1i"', '"T1\u00e9"').encode("latin-1"))
+        out = tmp_path / "o.csv"
+        code, stdout, err = run(["curve", str(bad), "--out", str(out)], capsys)
+        assert code == 2
+        assert stdout == "" and err.startswith(f"error: cannot read scenario file {bad}: ")
+        assert "codec can't decode" in err
         assert not out.exists()
 
     def test_missing_file_exits_2(self, tmp_path, capsys):

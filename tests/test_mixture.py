@@ -515,6 +515,11 @@ class TestCurves:
         with pytest.raises(ParameterError, match="strictly inside"):
             EvaluationGrid(np.array(t))
 
+    def test_grid_points_message(self):
+        with pytest.raises(ParameterError) as info:
+            default_grid(0)
+        assert str(info.value) == "grid points must be a positive integer, got 0"
+
     def test_default_grid_rejects_nan_end(self):
         with pytest.raises(ParameterError):
             default_grid(5, float("nan"), 0.5)

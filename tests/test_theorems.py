@@ -178,6 +178,15 @@ class TestCheckTheorem:
         with pytest.raises(ShapeError, match="group sizes must be two positive integers"):
             replace(s, group_sizes=sizes)
 
+    def test_transform_width_checked_on_construction(self):
+        with pytest.raises(ShapeError) as info:
+            Scenario(
+                baseline=Exponential(1.0), variant="vary_alpha", common_param=0.5,
+                matrix_a=ParameterMatrix((0.6, 0.4), (0.3, 0.4)),
+                chain=(TTransform(0.5, (0, 2, 1)),), grid=default_grid(11),
+            )
+        assert str(info.value) == "transform size 3 does not match matrix width 2"
+
     def test_matrix_b_only_scenario_cannot_verify_chain(self):
         s = Scenario(
             baseline=Exponential(1.0),
@@ -339,6 +348,11 @@ class TestSearch:
     def test_trials_validated(self):
         with pytest.raises(ParameterError):
             search_counterexamples("T1i", 0, seed=1)
+
+    def test_trials_message(self):
+        with pytest.raises(ParameterError) as info:
+            search_counterexamples("T1i", 0, 0)
+        assert str(info.value) == "trials must be a positive integer, got 0"
 
     def test_unknown_id(self):
         with pytest.raises(ParameterError):
