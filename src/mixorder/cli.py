@@ -29,6 +29,8 @@ from importlib import resources
 from pathlib import Path
 from typing import Iterable, Iterator
 
+import numpy as np
+
 from . import orders
 from .errors import (
     DomainError,
@@ -62,8 +64,8 @@ EXIT_INCONCLUSIVE = 4
 
 _GRID_ENV = "MIXORDER_GRID_POINTS"
 
-# rows per formatted block of curve and sample output: small text, few blocks
-_BLOCK_ROWS = 4096
+# rows per formatted block of curve and sample output: a few MB of arrays at a time
+_BLOCK_ROWS = 16384
 
 
 # -- scenario files -----------------------------------------------------------------
@@ -115,27 +117,42 @@ def _to_json(value):
 
 
 def _atomic_write(path: Path, blocks: Iterable[str]) -> None:
+    """Write ``blocks`` to ``path`` through a temporary file beside it.
+
+    The file gets the mode a plain ``open`` gives a new file.  An ``OSError``
+    is a usage error naming the path, and leaves no temporary file behind.
+    """
     path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=f".{path.name}.")
     try:
-        with os.fdopen(fd, "w", encoding="utf-8", newline="\n") as fh:
-            fh.writelines(blocks)
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
+        path.parent.mkdir(parents=True, exist_ok=True)
+        fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=f".{path.name}.")
+        try:
+            with os.fdopen(fd, "w", encoding="utf-8", newline="\n") as fh:
+                fh.writelines(blocks)
+            umask = os.umask(0)  # reading the umask sets it: put it straight back
+            os.umask(umask)
+            os.chmod(tmp, 0o666 & ~umask)
+            os.replace(tmp, path)
+        except BaseException:
+            if os.path.exists(tmp):
+                os.unlink(tmp)
+            raise
+    except OSError as exc:
+        raise ParameterError(f"cannot write {path}: {exc}") from exc
 
 
 # -- subcommand handlers -----------------------------------------------------------
 
 
-def _format_rows(columns: list, row_format: str) -> Iterator[str]:
-    """Rows of the equal-length arrays in ``columns``, one %-format per _BLOCK_ROWS rows."""
+def _format_rows(columns: list, precision: int) -> Iterator[str]:
+    """Rows of the equal-length arrays in ``columns`` as comma-separated C ``%.{precision}g``
+    text, _BLOCK_ROWS rows at a time."""
+    from .gformat import format_g  # on first use: commands that write no table never compile it
+
+    separators = "," * (len(columns) - 1) + "\n"
     for start in range(0, len(columns[0]), _BLOCK_ROWS):
-        rows = list(zip(*(c[start:start + _BLOCK_ROWS].tolist() for c in columns)))
-        yield (row_format * len(rows)) % tuple(itertools.chain.from_iterable(rows))
+        block = np.column_stack([c[start:start + _BLOCK_ROWS] for c in columns])
+        yield format_g(block, precision, separators)
 
 
 def _cmd_curve(args) -> int:
@@ -144,7 +161,7 @@ def _cmd_curve(args) -> int:
     series_b = evaluate_curve(scenario.model_b(), scenario.grid, args.which)
     columns = [series_a.t, series_a.x, series_a.values, series_b.values]
     _atomic_write(Path(args.out), itertools.chain(
-        ["t,x,model_a,model_b\n"], _format_rows(columns, "%.15g,%.15g,%.15g,%.15g\n")
+        ["t,x,model_a,model_b\n"], _format_rows(columns, 15)
     ))
     print(f"wrote {len(series_a.t)} rows to {args.out}")
     return EXIT_OK
@@ -241,7 +258,7 @@ def _cmd_search(args) -> int:
 def _cmd_sample(args) -> int:
     scenario = load_scenario(args.scenario)
     draws = scenario.model_a().sample(args.n, args.seed)
-    _atomic_write(Path(args.out), _format_rows([draws], "%.17g\n"))
+    _atomic_write(Path(args.out), _format_rows([draws], 17))
     print(f"wrote {args.n} samples to {args.out}")
     return EXIT_OK
 

@@ -247,7 +247,10 @@ def _number(value, where: str, kind: type = float):
         raise ScenarioParseError(
             f"malformed scenario value: could not convert {where}: {value!r} is not a JSON {noun}"
         )
-    return kind(value)
+    try:
+        return kind(value)
+    except OverflowError as exc:  # a JSON integer beyond the float range
+        raise ScenarioParseError(f"malformed scenario value: could not convert {where}: {exc}") from exc
 
 
 def _numbers(value, where: str, kind: type = float) -> list:

@@ -1,7 +1,9 @@
 import dataclasses
 import json
 import math
+import os
 import re
+import stat
 
 import jsonschema
 import numpy as np
@@ -45,6 +47,8 @@ MALFORMED = [
     # numbers must be JSON numbers and counts JSON integers, booleans neither
     (1, ("common_param",), "0.1", "could not convert common_param: '0.1' is not a JSON number"),
     (1, ("common_param",), True, "could not convert common_param: True is not a JSON number"),
+    # a JSON integer of 401 digits has no float
+    (1, ("common_param",), 10**400, "could not convert common_param: int too large to convert to float"),
     (1, ("chain", 0, "omega"), "0.4", "could not convert chain[0].omega: '0.4' is not a JSON number"),
     (7, ("baseline", "params", "b"), "0.5", "baseline.params.b: '0.5' is not a JSON number"),
     (1, ("baseline", "params"), [0.2], "baseline.params must be an object"),
@@ -549,3 +553,47 @@ class TestWriterBytes:
         )
         assert code == 0
         assert out.read_bytes() == "".join(f"{v:.17g}\n" for v in draws).encode()
+
+
+def _writing_commands(out):
+    example1 = str(cli.bundled_scenario_path(1))
+    return {
+        "curve": ["curve", example1, "--out", out],
+        "sample": ["sample", example1, "--n", "10", "--out", out],
+        "search": ["search", "T1i", "--trials", "2", "--out", out],
+        "verify-examples": ["verify-examples", "--ids", "1", "--format", "json", "--out", out],
+    }
+
+
+class TestOutputFile:
+    @pytest.mark.parametrize("umask", [0o022, 0o027], ids=["022", "027"])
+    @pytest.mark.parametrize("command", ["curve", "sample", "search", "verify-examples"])
+    def test_mode_follows_the_umask(self, tmp_path, capsys, command, umask):
+        out = tmp_path / "written"
+        old = os.umask(umask)
+        try:
+            code, _, _ = run(_writing_commands(str(out))[command], capsys)
+        finally:
+            os.umask(old)
+        assert code == 0
+        assert stat.S_IMODE(out.stat().st_mode) == 0o666 & ~umask
+
+    @pytest.mark.parametrize("command", ["curve", "sample", "search", "verify-examples"])
+    def test_directory_as_output_exits_2(self, tmp_path, capsys, command):
+        out = tmp_path / "taken"
+        out.mkdir()
+        code, stdout, err = run(_writing_commands(str(out))[command], capsys)
+        assert code == 2
+        assert stdout == ""
+        assert err.startswith(f"error: cannot write {out}: ") and "Is a directory" in err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["taken"]  # no temporary file left
+        assert list(out.iterdir()) == []
+
+    def test_file_as_output_directory_exits_2(self, tmp_path, capsys):
+        blocker = tmp_path / "file.txt"
+        blocker.write_text("kept\n")
+        out = blocker / "curve.csv"
+        code, _, err = run(_writing_commands(str(out))["curve"], capsys)
+        assert code == 2
+        assert err.startswith(f"error: cannot write {out}: ")
+        assert blocker.read_text() == "kept\n"
