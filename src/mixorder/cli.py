@@ -42,7 +42,8 @@ from .errors import (
     ShapeError,
     TailError,
 )
-from .mixture import CURVE_KINDS, evaluate_curve
+from .mixture import _BLOCK as _BLOCK_ROWS  # rows per block of curve and sample output; tests size tables by it
+from .mixture import CURVE_KINDS, EvaluationGrid, _blocks, _require_grid_points, evaluate_curve
 from .theorems import (  # scenario_to_dict and bundled_scenario_path are re-exported
     EXAMPLE_IDS,
     SEARCHABLE_IDS,
@@ -64,9 +65,6 @@ EXIT_INCONCLUSIVE = 4
 
 _GRID_ENV = "MIXORDER_GRID_POINTS"
 
-# rows per formatted block of curve and sample output: a few MB of arrays at a time
-_BLOCK_ROWS = 16384
-
 
 # -- scenario files -----------------------------------------------------------------
 
@@ -82,6 +80,7 @@ def default_grid_points() -> int | None:
         points = -1
     if points < 1:
         raise ScenarioParseError(f"{_GRID_ENV} must be a positive integer, got {raw!r}")
+    _require_grid_points(points, _GRID_ENV)
     return points
 
 
@@ -146,24 +145,29 @@ def _atomic_write(path: Path, blocks: Iterable[str]) -> None:
 
 def _format_rows(columns: list, precision: int) -> Iterator[str]:
     """Rows of the equal-length arrays in ``columns`` as comma-separated C ``%.{precision}g``
-    text, _BLOCK_ROWS rows at a time."""
+    text, one block of rows at a time."""
     from .gformat import format_g  # on first use: commands that write no table never compile it
 
     separators = "," * (len(columns) - 1) + "\n"
-    for start in range(0, len(columns[0]), _BLOCK_ROWS):
-        block = np.column_stack([c[start:start + _BLOCK_ROWS] for c in columns])
-        yield format_g(block, precision, separators)
+    for block in _blocks(len(columns[0])):
+        yield format_g(np.column_stack([c[block] for c in columns]), precision, separators)
+
+
+def _curve_rows(models, grid: EvaluationGrid, which: str) -> Iterator[str]:
+    """The models' ``which`` curves as CSV rows, evaluated and formatted one block at a time."""
+    for block in _blocks(len(grid)):
+        sub = EvaluationGrid(grid.t_values[block])
+        values = [evaluate_curve(m, sub, which).values for m in models]
+        yield from _format_rows([sub.t_values, sub.x_values, *values], 15)
 
 
 def _cmd_curve(args) -> int:
     scenario = load_scenario(args.scenario)
-    series_a = evaluate_curve(scenario.model_a(), scenario.grid, args.which)
-    series_b = evaluate_curve(scenario.model_b(), scenario.grid, args.which)
-    columns = [series_a.t, series_a.x, series_a.values, series_b.values]
+    models = scenario.model_a(), scenario.model_b()
     _atomic_write(Path(args.out), itertools.chain(
-        ["t,x,model_a,model_b\n"], _format_rows(columns, 15)
+        ["t,x,model_a,model_b\n"], _curve_rows(models, scenario.grid, args.which)
     ))
-    print(f"wrote {len(series_a.t)} rows to {args.out}")
+    print(f"wrote {len(scenario.grid)} rows to {args.out}")
     return EXIT_OK
 
 

@@ -48,6 +48,11 @@ _QUANTILE_W_MIN = -745.0
 _QUANTILE_W_RTOL = 1e-12
 _QUANTILE_MAX_ITER = 200
 _C_FLOOR = -np.finfo(float).max
+# points that the large-array paths (check_st, check_hr, sample, the CLI's curve
+# and sample output) work on at a time, so that their twenty-odd temporaries
+# stay within a few MB instead of growing with the grid; at least 2, so that
+# check_hr's first block holds a ratio step
+_BLOCK = 8192
 
 CURVE_KINDS = ("survival", "hazard", "density", "cdf")
 
@@ -247,16 +252,29 @@ class MixtureModel:
         return out
 
     def sample(self, n: int, seed: int) -> np.ndarray:
-        """Inverse-transform sampling: pick a component, invert its survival."""
+        """Inverse-transform sampling: pick a component, invert its survival.
+
+        The component indices and uniforms are drawn in full first, so the draws
+        do not depend on the block size; they are inverted one block at a time.
+        """
         _require_count(n, "sample count")
         _require_seed(seed)
         rng = np.random.default_rng(seed)
         idx = rng.choice(self.n_components, size=n, p=np.asarray(self.weights))
         u = rng.uniform(size=n)
-        a = np.asarray(self.alphas)[idx]
-        lam = np.asarray(self.lams)[idx]
-        z = (u / (a + u * (1.0 - a))) ** (1.0 / lam)
-        return np.asarray(self.baseline.inverse_survival(z), dtype=float)
+        alphas, lams = np.asarray(self.alphas), np.asarray(self.lams)
+        draws = np.empty(n)
+        for block in _blocks(n):
+            a, lam, v = alphas[idx[block]], lams[idx[block]], u[block]
+            z = (v / (a + v * (1.0 - a))) ** (1.0 / lam)
+            draws[block] = self.baseline.inverse_survival(z)
+        return draws
+
+
+def _blocks(n: int) -> list[slice]:
+    """``range(n)`` as consecutive slices of ``_BLOCK`` indices, the last one shorter."""
+    step = _BLOCK
+    return [slice(start, min(start + step, n)) for start in range(0, n, step)]
 
 
 def _require_seed(seed) -> None:
@@ -369,8 +387,17 @@ class EvaluationGrid:
 
 def default_grid(points: int = 2001, t_min: float = 1e-4, t_max: float = 1.0 - 1e-4) -> EvaluationGrid:
     """Uniform t-grid on [t_min, t_max]; the endpoints t = 0, 1 are singular."""
-    _require_count(points, "grid points")
+    _require_grid_points(points, "grid points")
     return EvaluationGrid(np.linspace(t_min, t_max, int(points)))
+
+
+def _require_grid_points(points, what: str) -> None:
+    """``points`` checked to be a positive integer that numpy can size an array by."""
+    _require_count(points, what)
+    try:
+        np.broadcast_to(0.0, (points,))  # numpy's own size limit, without allocating
+    except (ValueError, OverflowError) as exc:
+        raise ParameterError(f"{what} is more than numpy can size an array by: {exc}") from None
 
 
 @dataclass(frozen=True, eq=False)

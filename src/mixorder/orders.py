@@ -16,6 +16,7 @@ grid discretization of a genuinely monotone curve cannot fail.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -27,7 +28,7 @@ from .errors import (
     ParameterError,
     TailError,
 )
-from .mixture import EvaluationGrid, MixtureModel
+from .mixture import EvaluationGrid, MixtureModel, _blocks
 
 __all__ = [
     "OrderVerdict",
@@ -87,6 +88,17 @@ def _undecided(reason: str, **extra) -> OrderVerdict:
     return OrderVerdict(False, False, nan, nan, nan, inconclusive=True, reason=reason, **extra)
 
 
+def _first_max(viol: np.ndarray, offset: int = 0, best=None) -> tuple[float, int]:
+    """``(value, index)`` of the first maximum over the earlier blocks' ``best`` and
+    ``viol``, whose entry 0 has index ``offset``: what ``argmax`` finds in their
+    concatenation, where the first NaN is the maximum."""
+    i = int(viol.argmax())
+    value = float(viol[i])
+    if best is None or value > best[0] or (math.isnan(value) and not math.isnan(best[0])):
+        return value, offset + i
+    return best
+
+
 def _directional_verdict(
     viol_leq: np.ndarray,
     viol_geq: np.ndarray,
@@ -94,8 +106,12 @@ def _directional_verdict(
     slack: float,
     **extra,
 ) -> OrderVerdict:
-    i_leq, i_geq = int(viol_leq.argmax()), int(viol_geq.argmax())
-    max_leq, max_geq = float(viol_leq[i_leq]), float(viol_geq[i_geq])
+    return _verdict(_first_max(viol_leq), _first_max(viol_geq), t, slack, **extra)
+
+
+def _verdict(leq: tuple[float, int], geq: tuple[float, int], t, slack: float, **extra) -> OrderVerdict:
+    """The verdict of the worst violations ``(value, index into t)`` in each direction."""
+    (max_leq, i_leq), (max_geq, i_geq) = leq, geq
     return OrderVerdict(
         holds_leq=max_leq <= slack,
         holds_geq=max_geq <= slack,
@@ -118,13 +134,15 @@ def check_st(
     grid: EvaluationGrid,
     slack: float = DEFAULT_SLACK,
 ) -> OrderVerdict:
-    """Pointwise survival comparison on the grid."""
-    l1, l2 = _baseline_pair(m1, m2, "log_survival", grid.x_values)
-    s1 = m1._terms(l1).survival()
-    s2 = m2._terms(l2).survival()
-    return _directional_verdict(
-        np.maximum(s1 - s2, 0.0), np.maximum(s2 - s1, 0.0), grid.t_values, slack
-    )
+    """Pointwise survival comparison on the grid, one block of points at a time."""
+    leq = geq = None
+    for block in _blocks(len(grid)):
+        l1, l2 = _baseline_pair(m1, m2, "log_survival", grid.x_values[block])
+        s1 = m1._terms(l1).survival()
+        s2 = m2._terms(l2).survival()
+        leq = _first_max(np.maximum(s1 - s2, 0.0), block.start, leq)
+        geq = _first_max(np.maximum(s2 - s1, 0.0), block.start, geq)
+    return _verdict(leq, geq, grid.t_values, slack)
 
 
 def _monotone_violations(values: np.ndarray) -> np.ndarray:
@@ -151,41 +169,57 @@ def check_hr(
 
 
 def _check_hr(m1, m2, grid, hazard, slack=DEFAULT_SLACK) -> OrderVerdict:
-    """``check_hr`` given the shared baseline's hazard on the whole grid, or None."""
-    x = grid.x_values
-    l1, l2 = _baseline_pair(m1, m2, "log_survival", x)
-    k1, k2 = m1._terms(l1), m2._terms(l2)
-    s1, s2 = k1.survival(), k2.survival()
-    safe = (s1 >= _SURVIVAL_FLOOR) & (s2 >= _SURVIVAL_FLOOR)
-    t_cut = None
-    if not safe.all():
-        cut = int(safe.argmin())  # first unsafe index; survival is nonincreasing
-        t_cut = float(grid.t_values[cut])
-        x, s1, s2 = x[:cut], s1[:cut], s2[:cut]
-        k1, k2 = k1.head(cut), k2.head(cut)
-    t = grid.t_values[: x.size]
-    if t.size < 2:
-        return _undecided("fewer than two grid points with positive survival", truncated_at_t=t_cut)
-    ratio_leq = s2 / s1
-    ratio_geq = s1 / s2
-    viol_leq = _monotone_violations(ratio_leq)
-    viol_geq = _monotone_violations(ratio_geq)
+    """``check_hr`` given the shared baseline's hazard on the whole grid, or None.
 
-    if hazard is None:
-        r1, r2 = _baseline_pair(m1, m2, "hazard", x)
-    else:
-        r1 = r2 = hazard[: x.size]
-    h1 = k1.hazard(r1, x)
-    h2 = k2.hazard(r2, x)
-    # h1 - h2 is -(h2 - h1) to the bit, so one scaled gap serves both directions
-    gap = (h2 - h1) / np.maximum(1.0, np.maximum(np.abs(h1), np.abs(h2)))
-    hz_leq = bool(gap.max() <= slack)
-    hz_geq = bool(-gap.min() <= slack)
+    The grid is checked one block of points at a time.  Each block's first ratio
+    step starts from the previous block's last ratios, and the first block with a
+    survival below the floor is cut there and ends the loop.
+    """
+    leq = geq = tail_leq = tail_geq = t_cut = None
+    hz_leq = hz_geq = True
+    for block in _blocks(len(grid)):
+        x = grid.x_values[block]
+        l1, l2 = _baseline_pair(m1, m2, "log_survival", x)
+        k1, k2 = m1._terms(l1), m2._terms(l2)
+        s1, s2 = k1.survival(), k2.survival()
+        safe = (s1 >= _SURVIVAL_FLOOR) & (s2 >= _SURVIVAL_FLOOR)
+        if not safe.all():
+            cut = int(safe.argmin())  # first unsafe index; survival is nonincreasing
+            t_cut = float(grid.t_values[block.start + cut])
+            x, s1, s2 = x[:cut], s1[:cut], s2[:cut]
+            k1, k2 = k1.head(cut), k2.head(cut)
+        if block.start + x.size < 2:  # only the first block can end here
+            return _undecided("fewer than two grid points with positive survival", truncated_at_t=t_cut)
+        if x.size == 0:  # cut at the block's first point
+            break
+        ratio_leq, ratio_geq = s2 / s1, s1 / s2
+        first = block.start
+        if first:  # the step across the block boundary
+            ratio_leq = np.concatenate((tail_leq, ratio_leq))
+            ratio_geq = np.concatenate((tail_geq, ratio_geq))
+            first -= 1
+        leq = _first_max(_monotone_violations(ratio_leq), first, leq)
+        geq = _first_max(_monotone_violations(ratio_geq), first, geq)
+        tail_leq, tail_geq = ratio_leq[-1:], ratio_geq[-1:]
 
-    verdict = _directional_verdict(
-        viol_leq,
-        viol_geq,
-        t[:-1],
+        if hazard is None:
+            r1, r2 = _baseline_pair(m1, m2, "hazard", x)
+        else:
+            r1 = r2 = hazard[block][: x.size]
+        h1 = k1.hazard(r1, x)
+        h2 = k2.hazard(r2, x)
+        # h1 - h2 is -(h2 - h1) to the bit, so one scaled gap serves both directions;
+        # a NaN gap fails both, as it fails the maximum and minimum of the whole grid
+        gap = (h2 - h1) / np.maximum(1.0, np.maximum(np.abs(h1), np.abs(h2)))
+        hz_leq = hz_leq and bool(gap.max() <= slack)
+        hz_geq = hz_geq and bool(-gap.min() <= slack)
+        if t_cut is not None:
+            break
+
+    verdict = _verdict(
+        leq,
+        geq,
+        grid.t_values,
         slack,
         hazard_holds_leq=hz_leq,
         hazard_holds_geq=hz_geq,

@@ -47,7 +47,14 @@ from .majorization import (
     same_structure,
     verify_chain_witness,
 )
-from .mixture import EvaluationGrid, MixtureModel, _require_count, _require_seed, default_grid
+from .mixture import (
+    EvaluationGrid,
+    MixtureModel,
+    _require_count,
+    _require_grid_points,
+    _require_seed,
+    default_grid,
+)
 from .orders import (
     DEFAULT_SLACK,
     OrderVerdict,
@@ -294,6 +301,8 @@ def scenario_from_dict(doc: dict, grid_points: int | None = None) -> tuple[str |
         pins = {} if grid_points is None else {"points": grid_points}
         for key, value in _object(doc.get("grid", {}), "grid", _GRID_KEYS).items():
             pins[key] = _number(value, f"grid.{key}", _GRID_KEYS[key])
+            if key == "points":
+                _require_grid_points(pins[key], "grid.points")
         grid = default_grid(**pins)
 
         theorem_id = doc.get("theorem_id")

@@ -144,6 +144,23 @@ class TestScenarioFiles:
         monkeypatch.delenv("MIXORDER_GRID_POINTS", raising=False)
         assert cli.default_grid_points() is None
 
+    @pytest.mark.parametrize("points", [10**400, 2**62], ids=["401_digits", "2**62"])
+    @pytest.mark.parametrize("key", ["grid.points", "MIXORDER_GRID_POINTS"])
+    def test_grid_points_numpy_cannot_size_exit_2(self, tmp_path, capsys, monkeypatch, key, points):
+        # numpy's own limit on an array's size, not a cap of ours, rejects these counts
+        doc = json.loads(cli.bundled_scenario_path(1).read_text())
+        if key == "grid.points":
+            doc["grid"] = {"points": points}
+        else:
+            monkeypatch.setenv(key, str(points))
+        scenario = tmp_path / "scenario.json"
+        scenario.write_text(json.dumps(doc))
+        out = tmp_path / "o.csv"
+        code, stdout, err = run(["curve", str(scenario), "--out", str(out)], capsys)
+        assert code == 2 and stdout == ""
+        assert err.startswith(f"error: {key} is more than numpy can size an array by: ")
+        assert not out.exists()
+
 
 class TestCurve:
     def test_survival_csv_dominance(self, tmp_path, capsys):
@@ -531,12 +548,17 @@ class TestWriterBytes:
         scenario = tmp_path / "scenario.json"
         scenario.write_text(json.dumps(doc))
         va, vb = self.values(n, 1), self.values(n, 2)
-        outputs = iter([va, vb])
-        monkeypatch.setattr(MixtureModel, "hazard", lambda self, x: next(outputs))
+        s = cli.load_scenario(scenario)
+        grid, values = s.grid, {s.model_a(): va, s.model_b(): vb}
+
+        def hazard(self, x):  # the slice of the model's values at the block's points
+            start = int(np.searchsorted(grid.x_values, x[0]))
+            return values[self][start:start + len(x)]
+
+        monkeypatch.setattr(MixtureModel, "hazard", hazard)
         out = tmp_path / "curve.csv"
         code, _, _ = run(["curve", str(scenario), "--which", "hazard", "--out", str(out)], capsys)
         assert code == 0
-        grid = cli.load_scenario(scenario).grid
         expected = "t,x,model_a,model_b\n" + "".join(
             f"{t:.15g},{x:.15g},{a:.15g},{b:.15g}\n"
             for t, x, a, b in zip(grid.t_values, grid.x_values, va, vb)

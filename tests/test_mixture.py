@@ -520,6 +520,10 @@ class TestCurves:
             default_grid(0)
         assert str(info.value) == "grid points must be a positive integer, got 0"
 
+    def test_grid_points_numpy_cannot_size(self):
+        with pytest.raises(ParameterError, match="^grid points is more than numpy can size"):
+            default_grid(10**400)
+
     def test_default_grid_rejects_nan_end(self):
         with pytest.raises(ParameterError):
             default_grid(5, float("nan"), 0.5)
