@@ -49,6 +49,17 @@ def _as_log_survival_level(logs) -> np.ndarray:
     return arr
 
 
+def _where_overflowed(values, overflowed, tail, x):
+    """``values`` with ``tail(x)`` in place of its entries where ``overflowed`` holds.
+
+    ``tail`` runs on those entries of ``x`` only; a 0-d result comes back as a scalar.
+    """
+    values = np.asarray(values)
+    if overflowed.any():
+        values[overflowed] = tail(np.asarray(x)[overflowed])
+    return values[()]
+
+
 class BaselineDistribution(ABC):
     """A baseline survival bundle on (0, inf).
 
@@ -131,11 +142,11 @@ class PowerBurr(BaselineDistribution):
     def log_survival(self, x):
         arr = _as_nonneg_array(x)
         a, b = self.shape_a, self.shape_b
-        with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        with np.errstate(over="ignore"):
             xa = arr**a
             # where x**a overflows, log1p(x**a) = a*log(x) + log1p(x**-a)
-            tail = a * np.log(arr) + np.log1p(arr**-a)
-            return -b * np.where(np.isinf(xa), tail, np.log1p(xa))[()]
+            return -b * _where_overflowed(np.log1p(xa), np.isinf(xa),
+                                          lambda y: a * np.log(y) + np.log1p(y**-a), arr)
 
     def hazard(self, x):
         arr = _as_nonneg_array(x)
@@ -143,16 +154,16 @@ class PowerBurr(BaselineDistribution):
         with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
             xa = arr**a
             # where x**a overflows, x**(a-1)/(1 + x**a) = 1/(x*(1 + x**-a))
-            tail = a * b / (arr * (1.0 + arr**-a))
-            return np.where(np.isinf(xa), tail, a * b * arr ** (a - 1.0) / (1.0 + xa))[()]
+            return _where_overflowed(a * b * arr ** (a - 1.0) / (1.0 + xa), np.isinf(xa),
+                                     lambda y: a * b / (y * (1.0 + y**-a)), arr)
 
     def inverse_log_survival(self, logs):
         v = -_as_log_survival_level(logs) / self.shape_b
-        with np.errstate(over="ignore", divide="ignore"):
+        with np.errstate(over="ignore"):
             e = np.expm1(v)
             # where expm1(v) overflows, expm1(v)**(1/a) = exp((v + log(-expm1(-v))) / a)
-            tail = np.exp((v + np.log(-np.expm1(-v))) / self.shape_a)
-            return np.where(np.isinf(e), tail, e ** (1.0 / self.shape_a))[()]
+            return _where_overflowed(e ** (1.0 / self.shape_a), np.isinf(e),
+                                     lambda w: np.exp((w + np.log(-np.expm1(-w))) / self.shape_a), v)
 
     @property
     def tail_index(self) -> float:

@@ -42,7 +42,6 @@ from .errors import (
     ShapeError,
     TailError,
 )
-from .mixture import _BLOCK as _BLOCK_ROWS  # rows per block of curve and sample output; tests size tables by it
 from .mixture import CURVE_KINDS, EvaluationGrid, _blocks, _require_grid_points, evaluate_curve
 from .theorems import (  # scenario_to_dict and bundled_scenario_path are re-exported
     EXAMPLE_IDS,
@@ -86,11 +85,11 @@ def default_grid_points() -> int | None:
 
 def parse_scenario(doc: dict) -> Scenario:
     """Build a Scenario from a parsed JSON document; unknown keys are rejected."""
-    return scenario_from_dict(doc, default_grid_points())[1]
+    return scenario_from_dict(doc, default_grid_points(), _GRID_ENV)[1]
 
 
 def load_scenario(path: str | Path) -> Scenario:
-    return read_scenario(path, default_grid_points())[1]
+    return read_scenario(path, default_grid_points(), _GRID_ENV)[1]
 
 
 def schema_path() -> Path:
@@ -115,8 +114,8 @@ def _to_json(value):
     return value
 
 
-def _atomic_write(path: Path, blocks: Iterable[str]) -> None:
-    """Write ``blocks`` to ``path`` through a temporary file beside it.
+def _atomic_write(path: Path, blocks: Iterable[bytes]) -> None:
+    """Write the bytes ``blocks`` to ``path``, as they come, through a temporary file beside it.
 
     The file gets the mode a plain ``open`` gives a new file.  An ``OSError``
     is a usage error naming the path, and leaves no temporary file behind.
@@ -126,7 +125,7 @@ def _atomic_write(path: Path, blocks: Iterable[str]) -> None:
         path.parent.mkdir(parents=True, exist_ok=True)
         fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=f".{path.name}.")
         try:
-            with os.fdopen(fd, "w", encoding="utf-8", newline="\n") as fh:
+            with os.fdopen(fd, "wb") as fh:
                 fh.writelines(blocks)
             umask = os.umask(0)  # reading the umask sets it: put it straight back
             os.umask(umask)
@@ -143,17 +142,17 @@ def _atomic_write(path: Path, blocks: Iterable[str]) -> None:
 # -- subcommand handlers -----------------------------------------------------------
 
 
-def _format_rows(columns: list, precision: int) -> Iterator[str]:
+def _format_rows(columns: list, precision: int) -> Iterator[bytes]:
     """Rows of the equal-length arrays in ``columns`` as comma-separated C ``%.{precision}g``
-    text, one block of rows at a time."""
+    text, in chunks of at most ``_BLOCK`` values: whole rows, each chunk ending in a newline."""
     from .gformat import format_g  # on first use: commands that write no table never compile it
 
     separators = "," * (len(columns) - 1) + "\n"
-    for block in _blocks(len(columns[0])):
-        yield format_g(np.column_stack([c[block] for c in columns]), precision, separators)
+    for chunk in _blocks(len(columns[0]), len(columns)):
+        yield format_g(np.column_stack([c[chunk] for c in columns]), precision, separators)
 
 
-def _curve_rows(models, grid: EvaluationGrid, which: str) -> Iterator[str]:
+def _curve_rows(models, grid: EvaluationGrid, which: str) -> Iterator[bytes]:
     """The models' ``which`` curves as CSV rows, evaluated and formatted one block at a time."""
     for block in _blocks(len(grid)):
         sub = EvaluationGrid(grid.t_values[block])
@@ -165,7 +164,7 @@ def _cmd_curve(args) -> int:
     scenario = load_scenario(args.scenario)
     models = scenario.model_a(), scenario.model_b()
     _atomic_write(Path(args.out), itertools.chain(
-        ["t,x,model_a,model_b\n"], _curve_rows(models, scenario.grid, args.which)
+        [b"t,x,model_a,model_b\n"], _curve_rows(models, scenario.grid, args.which)
     ))
     print(f"wrote {len(scenario.grid)} rows to {args.out}")
     return EXIT_OK
@@ -210,8 +209,11 @@ def _print_text_report(k: int, report: TheoremReport) -> None:
 
 def _cmd_verify_examples(args) -> int:
     ids = _parse_ids(args.ids)
-    points = args.grid_points if args.grid_points is not None else default_grid_points()
-    reports = {k: verify_example(k, grid_points=points) for k in ids}
+    if args.grid_points is not None:
+        points, key = args.grid_points, "--grid-points"
+    else:
+        points, key = default_grid_points(), _GRID_ENV
+    reports = {k: verify_example(k, grid_points=points, grid_points_key=key) for k in ids}
     all_consistent = all(r.consistent for r in reports.values())
     if args.format == "json":
         doc = {
@@ -220,7 +222,7 @@ def _cmd_verify_examples(args) -> int:
         }
         text = json.dumps(doc, indent=2, sort_keys=True)
         if args.out:
-            _atomic_write(Path(args.out), [text, "\n"])
+            _atomic_write(Path(args.out), [text.encode(), b"\n"])
             print(f"wrote report to {args.out}")
         else:
             print(text)
@@ -254,7 +256,7 @@ def _cmd_check_order(args) -> int:
 def _cmd_search(args) -> int:
     findings = search_counterexamples(args.theorem_id, args.trials, args.seed)
     text = json.dumps([_to_json(r) for r in findings], indent=2, sort_keys=True)
-    _atomic_write(Path(args.out), [text, "\n"])
+    _atomic_write(Path(args.out), [text.encode(), b"\n"])
     print(f"{len(findings)} inconsistent report(s) written to {args.out}")
     return EXIT_OK
 

@@ -1,8 +1,8 @@
 """C ``%.{P}g`` text for arrays of doubles, byte for byte, computed with numpy.
 
-``format_g(values, precision, separators)`` returns what
-``"".join(f"%.{precision}g" % v + sep for v, sep in zip(values, cycle(separators)))``
-returns, for 9 <= precision <= 17.  Each value is handled in four steps:
+``format_g(values, precision, separators)`` returns the ASCII bytes of
+``"".join(f"%.{precision}g" % v + sep for v, sep in zip(values, cycle(separators)))``,
+for 9 <= precision <= 17.  Each value is handled in four steps:
 
 1. ``k = floor(log10|v|)`` estimates the decimal exponent, and
    ``s = |v| * 10**(P-1-k)`` is formed as a double-double: ``10**m`` is a
@@ -115,10 +115,12 @@ def _round(a, precision: int):
     return np.clip(d, 10 ** (precision - 1), 10 ** precision - 1), k.astype(np.int32), exact
 
 
-def format_g(values, precision: int, separators: str) -> str:
+def format_g(values, precision: int, separators: str) -> bytes:
     """``values`` as ``%.{precision}g`` text, value i followed by ``separators[i % len]``.
 
-    ``len(values)`` is a multiple of ``len(separators)``.
+    ``len(values)`` is a multiple of ``len(separators)``.  The working arrays take
+    about 200 bytes per value, so a caller that formats many values passes them a
+    block at a time.
     """
     v = np.asarray(values, dtype=np.float64).ravel()
     a = np.abs(v)
@@ -164,4 +166,4 @@ def format_g(values, precision: int, separators: str) -> str:
         texts = [(f"%.{precision}g" % x).encode().ljust(width, b"\0") + separators[i % len(separators)].encode()
                  for i, x in zip(inexact.tolist(), v[inexact].tolist())]
         text[inexact] = np.frombuffer(b"".join(texts), "<u8").reshape(inexact.size, -1)
-    return text.tobytes().translate(None, b"\0").decode("ascii")
+    return text.tobytes().translate(None, b"\0")

@@ -256,11 +256,13 @@ class MixtureModel:
 
         The component indices and uniforms are drawn in full first, so the draws
         do not depend on the block size; they are inverted one block at a time.
+        The indices are kept in the smallest unsigned type that holds them.
         """
         _require_count(n, "sample count")
         _require_seed(seed)
         rng = np.random.default_rng(seed)
         idx = rng.choice(self.n_components, size=n, p=np.asarray(self.weights))
+        idx = idx.astype(np.min_scalar_type(self.n_components - 1))
         u = rng.uniform(size=n)
         alphas, lams = np.asarray(self.alphas), np.asarray(self.lams)
         draws = np.empty(n)
@@ -271,9 +273,10 @@ class MixtureModel:
         return draws
 
 
-def _blocks(n: int) -> list[slice]:
-    """``range(n)`` as consecutive slices of ``_BLOCK`` indices, the last one shorter."""
-    step = _BLOCK
+def _blocks(n: int, width: int = 1) -> list[slice]:
+    """``range(n)`` as consecutive slices of ``_BLOCK // width`` indices (at least one), the
+    last one shorter: rows of ``width`` values each, at most ``_BLOCK`` values to a slice."""
+    step = max(1, _BLOCK // width)
     return [slice(start, min(start + step, n)) for start in range(0, n, step)]
 
 
@@ -373,10 +376,11 @@ class EvaluationGrid:
             raise ParameterError("grid must be a one-dimensional, non-empty array")
         if not np.all((t > 0) & (t < 1)):  # also rejects NaN
             raise ParameterError("grid t-values must lie strictly inside (0, 1)")
-        if np.any(np.diff(t) <= 0):
+        if np.any(t[1:] <= t[:-1]):
             raise ParameterError("grid t-values must be strictly increasing")
         # both arrays are private read-only copies, so x stays t/(1-t) for good
-        x = t / (1.0 - t)
+        x = 1.0 - t
+        np.divide(t, x, out=x)
         t.flags.writeable = x.flags.writeable = False
         object.__setattr__(self, "t_values", t)
         object.__setattr__(self, "x_values", x)
@@ -385,10 +389,19 @@ class EvaluationGrid:
         return int(self.t_values.size)
 
 
-def default_grid(points: int = 2001, t_min: float = 1e-4, t_max: float = 1.0 - 1e-4) -> EvaluationGrid:
-    """Uniform t-grid on [t_min, t_max]; the endpoints t = 0, 1 are singular."""
-    _require_grid_points(points, "grid points")
-    return EvaluationGrid(np.linspace(t_min, t_max, int(points)))
+def default_grid(points: int = 2001, t_min: float = 1e-4, t_max: float = 1.0 - 1e-4,
+                 what: str = "grid points") -> EvaluationGrid:
+    """Uniform t-grid on [t_min, t_max]; the endpoints t = 0, 1 are singular.
+
+    A ``points`` that is not a positive integer, or a grid that cannot be
+    allocated, is a ``ParameterError`` that names ``points`` as ``what``.
+    """
+    _require_grid_points(points, what)
+    try:
+        return EvaluationGrid(np.linspace(t_min, t_max, int(points)))
+    except MemoryError:
+        raise ParameterError(f"{what} asks for a grid of {points} points, "
+                             f"more than this machine can allocate") from None
 
 
 def _require_grid_points(points, what: str) -> None:

@@ -51,7 +51,6 @@ from .mixture import (
     EvaluationGrid,
     MixtureModel,
     _require_count,
-    _require_grid_points,
     _require_seed,
     default_grid,
 )
@@ -269,13 +268,16 @@ def _parse_matrix(doc, where: str) -> ParameterMatrix:
     return ParameterMatrix(*(_numbers(doc[key], f"{where}.{key}") for key in _MATRIX_KEYS))
 
 
-def scenario_from_dict(doc: dict, grid_points: int | None = None) -> tuple[str | None, Scenario]:
+def scenario_from_dict(doc: dict, grid_points: int | None = None,
+                       grid_points_key: str = "grid points") -> tuple[str | None, Scenario]:
     """The proposition id (or None) and the Scenario of a parsed JSON document.
 
     Unknown keys are rejected by name, and a value that is not a JSON number (or,
     for ``grid.points``, ``permutation`` and ``group_sizes``, a JSON integer) by
     its key.  The grid is ``default_grid`` with what ``grid_points`` and, over
-    it, the document's ``grid`` object pin.
+    it, the document's ``grid`` object pin; a point count that is not a positive
+    integer, or a grid that cannot be allocated, is named ``grid.points`` or,
+    for ``grid_points``, ``grid_points_key``.
     """
     try:
         doc = _object(doc, "scenario", _SCENARIO_KEYS, _REQUIRED_KEYS)
@@ -299,11 +301,12 @@ def scenario_from_dict(doc: dict, grid_points: int | None = None) -> tuple[str |
         sizes = _numbers(doc["group_sizes"], "group_sizes", int) if "group_sizes" in doc else None
 
         pins = {} if grid_points is None else {"points": grid_points}
+        points_key = grid_points_key
         for key, value in _object(doc.get("grid", {}), "grid", _GRID_KEYS).items():
             pins[key] = _number(value, f"grid.{key}", _GRID_KEYS[key])
             if key == "points":
-                _require_grid_points(pins[key], "grid.points")
-        grid = default_grid(**pins)
+                points_key = "grid.points"
+        grid = default_grid(**pins, what=points_key)
 
         theorem_id = doc.get("theorem_id")
         if theorem_id is not None and theorem_id not in THEOREM_IDS:
@@ -325,7 +328,8 @@ def scenario_from_dict(doc: dict, grid_points: int | None = None) -> tuple[str |
         raise ScenarioParseError(f"malformed scenario value: {exc}") from exc
 
 
-def read_scenario(path: str | Path, grid_points: int | None = None) -> tuple[str | None, Scenario]:
+def read_scenario(path: str | Path, grid_points: int | None = None,
+                  grid_points_key: str = "grid points") -> tuple[str | None, Scenario]:
     """The proposition id (or None) and the Scenario of a JSON file, as ``scenario_from_dict``."""
     try:
         text = Path(path).read_text(encoding="utf-8")
@@ -335,7 +339,7 @@ def read_scenario(path: str | Path, grid_points: int | None = None) -> tuple[str
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ScenarioParseError(f"scenario file {path} is not valid JSON: {exc}") from exc
-    return scenario_from_dict(doc, grid_points)
+    return scenario_from_dict(doc, grid_points, grid_points_key)
 
 
 def scenario_to_dict(s: Scenario, theorem_id: str | None = None) -> dict:
@@ -679,14 +683,16 @@ def check_theorem(theorem_id: str, s: Scenario) -> TheoremReport:
 # -- bundled reference scenarios ---------------------------------------------
 
 
-def example_scenario(k: int, grid_points: int | None = None) -> tuple[str, Scenario]:
+def example_scenario(k: int, grid_points: int | None = None,
+                     grid_points_key: str = "grid points") -> tuple[str, Scenario]:
     """The k-th bundled reference scenario (``scenarios/example{k}.json``) and its id."""
-    return read_scenario(bundled_scenario_path(k), grid_points)
+    return read_scenario(bundled_scenario_path(k), grid_points, grid_points_key)
 
 
-def verify_example(k: int, grid_points: int | None = None) -> TheoremReport:
+def verify_example(k: int, grid_points: int | None = None,
+                   grid_points_key: str = "grid points") -> TheoremReport:
     """Run the k-th bundled reference scenario through its proposition checker."""
-    return check_theorem(*example_scenario(k, grid_points))
+    return check_theorem(*example_scenario(k, grid_points, grid_points_key))
 
 
 # -- counterexample search -----------------------------------------------------

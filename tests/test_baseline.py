@@ -280,6 +280,57 @@ def test_power_burr_inverse_keeps_its_bits_where_expm1_is_finite():
     assert np.array_equal(d.inverse_log_survival(logs), np.expm1(-logs / 0.6) ** (1.0 / 1.7))
 
 
+def where_form(d):
+    """PowerBurr's three overflow-safe methods as one np.where over both formulas."""
+    a, b = d.shape_a, d.shape_b
+
+    def log_survival(x):
+        x = np.asarray(x, dtype=float)
+        with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+            xa = x**a
+            return -b * np.where(np.isinf(xa), a * np.log(x) + np.log1p(x**-a), np.log1p(xa))[()]
+
+    def hazard(x):
+        x = np.asarray(x, dtype=float)
+        with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+            xa = x**a
+            return np.where(np.isinf(xa), a * b / (x * (1.0 + x**-a)),
+                            a * b * x ** (a - 1.0) / (1.0 + xa))[()]
+
+    def inverse_log_survival(logs):
+        v = -np.asarray(logs, dtype=float) / b
+        with np.errstate(over="ignore", divide="ignore"):
+            e = np.expm1(v)
+            return np.where(np.isinf(e), np.exp((v + np.log(-np.expm1(-v))) / a), e ** (1.0 / a))[()]
+
+    return {"log_survival": log_survival, "hazard": hazard, "inverse_log_survival": inverse_log_survival}
+
+
+@pytest.mark.parametrize("a, b", [(0.2, 0.5), (1.7, 0.6), (3.0, 0.01)])
+def test_power_burr_overflow_form_only_where_it_overflows(a, b):
+    # the overflow-safe form is computed on the overflowing entries alone; every
+    # entry keeps the bits of the np.where over both forms, and a scalar stays a scalar
+    d, rng = PowerBurr(a, b), np.random.default_rng(17)
+    x = np.concatenate([[0.0, 5e-324, 1.0, 1e200, 1.7976931348623157e308, np.inf],
+                        10.0 ** rng.uniform(-300.0, 308.0, 500)])
+    rng.shuffle(x)
+    logs = -np.concatenate([[0.0, 5e-324, 1.0, 709.0 * b, 710.0 * b, 1e300, np.inf],
+                            b * 10.0 ** rng.uniform(-300.0, 3.5, 500)])
+    rng.shuffle(logs)
+    with np.errstate(over="ignore"):
+        for overflowed in (np.isinf(x**a), np.isinf(np.expm1(-logs / b))):
+            assert 0 < overflowed.sum() < overflowed.size - 100
+    for name, points in (("log_survival", x), ("hazard", x), ("inverse_log_survival", logs)):
+        method, want = getattr(d, name), where_form(d)[name]
+        assert method(points).tobytes() == want(points).tobytes(), name
+        strided = points[:500].reshape(50, 10)[:, ::3]
+        assert method(strided).tobytes() == want(strided).tobytes(), name
+        for point in points[:40]:
+            for arg in (float(point), np.asarray(point)):
+                got = method(arg)
+                assert isinstance(got, np.float64) and np.asarray(got).tobytes() == np.asarray(want(arg)).tobytes()
+
+
 def test_density_matches_central_difference_of_survival():
     rng = np.random.default_rng(7)
     for _ in range(500):

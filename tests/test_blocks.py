@@ -138,6 +138,18 @@ def test_sample_draws(monkeypatch, name, m1, m2):
     assert small.tobytes() == large.tobytes() == whole_sample(m1, n, 11).tobytes()
 
 
+def test_sample_draws_of_many_components(monkeypatch):
+    # 300 components: the sampler keeps its component indices as uint16, the reference as int64
+    rng = np.random.default_rng(300)
+    w = rng.dirichlet(np.ones(300))
+    m = MixtureModel.vary_lambda(Exponential(1.5), 0.4, zip(w / w.sum(), rng.uniform(0.2, 3.0, 300)))
+    n = 3 * SMALL + 1
+    small, large = at_both_sizes(monkeypatch, lambda: m.sample(n, 4))
+    assert small.tobytes() == large.tobytes() == whole_sample(m, n, 4).tobytes()
+    # components past index 255, which a uint8 index would wrap, are drawn
+    assert np.random.default_rng(4).choice(300, size=n, p=np.asarray(m.weights)).max() > 255
+
+
 def run_cli(argv, capsys):
     code = cli.main(argv)
     captured = capsys.readouterr()

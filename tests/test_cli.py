@@ -10,8 +10,16 @@ import numpy as np
 import pytest
 
 from mixorder import MixtureModel, cli
+from mixorder.mixture import _BLOCK
 from mixorder.orders import OrderVerdict, _undecided
-from mixorder.theorems import HypothesisCheck, TheoremReport, example_scenario, scenario_from_dict
+from mixorder.theorems import (
+    HypothesisCheck,
+    TheoremReport,
+    example_scenario,
+    scenario_from_dict,
+    search_counterexamples,
+    verify_example,
+)
 
 
 def run(argv, capsys):
@@ -161,6 +169,27 @@ class TestScenarioFiles:
         assert err.startswith(f"error: {key} is more than numpy can size an array by: ")
         assert not out.exists()
 
+    # a count numpy can size but no 64-bit process can map (8 PiB of doubles), so the
+    # allocation fails at once whatever the machine's overcommit setting
+    @pytest.mark.parametrize("key", ["grid.points", "MIXORDER_GRID_POINTS", "--grid-points"])
+    def test_grid_the_machine_cannot_allocate_exit_2(self, tmp_path, capsys, monkeypatch, key):
+        points = 2**50
+        doc = json.loads(cli.bundled_scenario_path(1).read_text())
+        if key == "grid.points":
+            doc["grid"] = {"points": points}
+        elif key == "MIXORDER_GRID_POINTS":
+            monkeypatch.setenv(key, str(points))
+        scenario = tmp_path / "scenario.json"
+        scenario.write_text(json.dumps(doc))
+        out = tmp_path / "o.csv"
+        argv = (["verify-examples", "--ids", "1", "--grid-points", str(points)] if key == "--grid-points"
+                else ["curve", str(scenario), "--out", str(out)])
+        code, stdout, err = run(argv, capsys)
+        assert code == 2 and stdout == ""
+        assert err == (f"error: {key} asks for a grid of {points} points, "
+                       f"more than this machine can allocate\n")
+        assert not out.exists()
+
 
 class TestCurve:
     def test_survival_csv_dominance(self, tmp_path, capsys):
@@ -306,6 +335,17 @@ class TestVerifyExamples:
         assert doc["all_consistent"] is True
         assert len(doc["reports"]) == 7
 
+    def test_json_file_is_json_dumps_bytes(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setenv("MIXORDER_GRID_POINTS", "301")
+        out = tmp_path / "r.json"
+        code, _, _ = run(["verify-examples", "--ids", "1,6", "--format", "json", "--out", str(out)],
+                         capsys)
+        reports = [verify_example(k, grid_points=301) for k in (1, 6)]
+        doc = {"reports": [cli._to_json(r) for r in reports],
+               "all_consistent": all(r.consistent for r in reports)}
+        assert code == (0 if doc["all_consistent"] else 1)
+        assert out.read_bytes() == (json.dumps(doc, indent=2, sort_keys=True) + "\n").encode()
+
     def test_invalid_grid_env_exit_2(self, capsys, monkeypatch):
         monkeypatch.setenv("MIXORDER_GRID_POINTS", "zero")
         code, _, err = run(["verify-examples", "--ids", "1"], capsys)
@@ -316,7 +356,7 @@ class TestVerifyExamples:
     def test_nonpositive_grid_points_exit_2(self, capsys, points):
         code, out, err = run(["verify-examples", "--ids", "1", "--grid-points", points], capsys)
         assert code == 2
-        assert out == "" and "grid points must be a positive integer" in err
+        assert out == "" and "--grid-points must be a positive integer" in err
 
     def test_inconclusive_report_writes_nulls(self, tmp_path, capsys, schema, monkeypatch):
         report = TheoremReport(
@@ -329,7 +369,7 @@ class TestVerifyExamples:
             inconclusive=True,
             notes=("conclusion undecided",),
         )
-        monkeypatch.setattr(cli, "verify_example", lambda k, grid_points: report)
+        monkeypatch.setattr(cli, "verify_example", lambda k, grid_points, grid_points_key: report)
         out_file = tmp_path / "reports.json"
         code, _, _ = run(
             ["verify-examples", "--ids", "7", "--format", "json", "--out", str(out_file)], capsys
@@ -455,6 +495,16 @@ class TestSearch:
             assert code == 0
         assert out1.read_text() == out2.read_text()
 
+    def test_file_is_json_dumps_bytes(self, tmp_path, capsys):
+        out = tmp_path / "f.json"
+        code, _, _ = run(["search", "T5_unconstrained", "--trials", "10", "--seed", "42",
+                          "--out", str(out)], capsys)
+        assert code == 0
+        findings = search_counterexamples("T5_unconstrained", 10, 42)
+        assert findings
+        text = json.dumps([cli._to_json(r) for r in findings], indent=2, sort_keys=True)
+        assert out.read_bytes() == (text + "\n").encode()
+
     def test_zero_trials_exit_2(self, tmp_path, capsys):
         code, _, _ = run(
             ["search", "T1i", "--trials", "0", "--out", str(tmp_path / "f.json")], capsys
@@ -537,12 +587,12 @@ class TestWriterBytes:
         rng = np.random.default_rng(seed)
         v = rng.standard_normal(n) * 10.0 ** rng.integers(-300, 300, size=n)
         # specials at the start, across a block boundary and in the last, partial block
-        for at in (0, cli._BLOCK_ROWS - 3, n - len(self.SPECIAL)):
+        for at in (0, _BLOCK - 3, n - len(self.SPECIAL)):
             v[at:at + len(self.SPECIAL)] = self.SPECIAL
         return v
 
     def test_curve_file(self, tmp_path, capsys, monkeypatch):
-        n = 2 * cli._BLOCK_ROWS + 37
+        n = 2 * _BLOCK + 37
         doc = json.loads(cli.bundled_scenario_path(5).read_text())
         doc["grid"] = {"points": n}
         scenario = tmp_path / "scenario.json"
@@ -566,7 +616,7 @@ class TestWriterBytes:
         assert out.read_bytes() == expected.encode()
 
     def test_sample_file(self, tmp_path, capsys, monkeypatch):
-        n = 3 * cli._BLOCK_ROWS + 11
+        n = 3 * _BLOCK + 11
         draws = self.values(n, 3)
         monkeypatch.setattr(MixtureModel, "sample", lambda self, count, seed: draws[:count])
         out = tmp_path / "draws.txt"
@@ -610,6 +660,14 @@ class TestOutputFile:
         assert err.startswith(f"error: cannot write {out}: ") and "Is a directory" in err
         assert sorted(p.name for p in tmp_path.iterdir()) == ["taken"]  # no temporary file left
         assert list(out.iterdir()) == []
+
+    def test_atomic_write_keeps_the_bytes(self, tmp_path):
+        # no newline or encoding translation: CR LF, NUL and bytes that are not UTF-8 pass through
+        blocks = [b"t,x\r\n", b"", b"\x00\xff\xfe", "\u00e9\n".encode("latin-1"), b"1e+300\n"]
+        out = tmp_path / "written"
+        cli._atomic_write(out, iter(blocks))
+        assert out.read_bytes() == b"".join(blocks)
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["written"]
 
     def test_file_as_output_directory_exits_2(self, tmp_path, capsys):
         blocker = tmp_path / "file.txt"

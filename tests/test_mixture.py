@@ -524,6 +524,11 @@ class TestCurves:
         with pytest.raises(ParameterError, match="^grid points is more than numpy can size"):
             default_grid(10**400)
 
+    def test_grid_the_machine_cannot_allocate(self):
+        # 2**50 doubles are more than a 64-bit process can map: the allocation fails at once
+        with pytest.raises(ParameterError, match="^grid points asks for a grid of 1125899906842624 points"):
+            default_grid(2**50)
+
     def test_default_grid_rejects_nan_end(self):
         with pytest.raises(ParameterError):
             default_grid(5, float("nan"), 0.5)
