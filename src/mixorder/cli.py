@@ -42,7 +42,7 @@ from .errors import (
     ShapeError,
     TailError,
 )
-from .mixture import CURVE_KINDS, EvaluationGrid, _blocks, _require_grid_points, evaluate_curve
+from .mixture import CURVE_KINDS, EvaluationGrid, _blocks, _curve_values, _require_grid_points
 from .theorems import (  # scenario_to_dict and bundled_scenario_path are re-exported
     EXAMPLE_IDS,
     SEARCHABLE_IDS,
@@ -155,9 +155,9 @@ def _format_rows(columns: list, precision: int) -> Iterator[bytes]:
 def _curve_rows(models, grid: EvaluationGrid, which: str) -> Iterator[bytes]:
     """The models' ``which`` curves as CSV rows, evaluated and formatted one block at a time."""
     for block in _blocks(len(grid)):
-        sub = EvaluationGrid(grid.t_values[block])
-        values = [evaluate_curve(m, sub, which).values for m in models]
-        yield from _format_rows([sub.t_values, sub.x_values, *values], 15)
+        x = grid.x_block(block)
+        values = [_curve_values(m, x, which) for m in models]
+        yield from _format_rows([grid.t_values[block], x, *values], 15)
 
 
 def _cmd_curve(args) -> int:
@@ -263,8 +263,9 @@ def _cmd_search(args) -> int:
 
 def _cmd_sample(args) -> int:
     scenario = load_scenario(args.scenario)
-    draws = scenario.model_a().sample(args.n, args.seed)
-    _atomic_write(Path(args.out), _format_rows([draws], 17))
+    blocks = scenario.model_a()._sample_blocks(args.n, args.seed)
+    _atomic_write(Path(args.out), itertools.chain.from_iterable(
+        _format_rows([draws], 17) for draws in blocks))
     print(f"wrote {args.n} samples to {args.out}")
     return EXIT_OK
 

@@ -21,9 +21,9 @@ lam) triples.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import InitVar, dataclass, field
 from functools import cached_property
-from typing import Iterable, NamedTuple
+from typing import Iterable, Iterator, NamedTuple
 
 import numpy as np
 
@@ -254,30 +254,46 @@ class MixtureModel:
     def sample(self, n: int, seed: int) -> np.ndarray:
         """Inverse-transform sampling: pick a component, invert its survival.
 
-        The component indices and uniforms are drawn in full first, so the draws
-        do not depend on the block size; they are inverted one block at a time.
-        The indices are kept in the smallest unsigned type that holds them.
+        The draws are those of ``default_rng(seed)`` choosing all ``n`` component
+        indices and then drawing ``n`` uniforms; ``_sample_blocks`` makes them
+        one block at a time.
+        """
+        blocks = self._sample_blocks(n, seed)
+        draws = np.empty(n)
+        for block, values in zip(_blocks(n), blocks):
+            draws[block] = values
+        return draws
+
+    def _sample_blocks(self, n: int, seed: int) -> Iterator[np.ndarray]:
+        """The draws of ``sample(n, seed)`` as consecutive blocks of ``_blocks(n)``.
+
+        The indices come from one ``choice`` call per block on ``default_rng(seed)``,
+        each taking one double of its stream per draw; the uniforms come from a
+        second generator on the same seed, advanced past the ``n`` doubles that
+        the indices take.  So the stream does not depend on the block size.  The
+        count and seed are checked here, before the first block is drawn.
         """
         _require_count(n, "sample count")
         _require_seed(seed)
-        rng = np.random.default_rng(seed)
-        idx = rng.choice(self.n_components, size=n, p=np.asarray(self.weights))
-        idx = idx.astype(np.min_scalar_type(self.n_components - 1))
-        u = rng.uniform(size=n)
-        alphas, lams = np.asarray(self.alphas), np.asarray(self.lams)
-        draws = np.empty(n)
-        for block in _blocks(n):
-            a, lam, v = alphas[idx[block]], lams[idx[block]], u[block]
-            z = (v / (a + v * (1.0 - a))) ** (1.0 / lam)
-            draws[block] = self.baseline.inverse_survival(z)
-        return draws
+        rng, uniforms = np.random.default_rng(seed), np.random.default_rng(seed)
+        uniforms.bit_generator.advance(n)
+        p, alphas, lams = (np.asarray(v) for v in (self.weights, self.alphas, self.lams))
+
+        def draw(size: int) -> np.ndarray:
+            idx = rng.choice(self.n_components, size=size, p=p)
+            v = uniforms.uniform(size=size)
+            a, lam = alphas[idx], lams[idx]
+            return self.baseline.inverse_survival((v / (a + v * (1.0 - a))) ** (1.0 / lam))
+
+        return (draw(block.stop - block.start) for block in _blocks(n))
 
 
-def _blocks(n: int, width: int = 1) -> list[slice]:
+def _blocks(n: int, width: int = 1) -> Iterator[slice]:
     """``range(n)`` as consecutive slices of ``_BLOCK // width`` indices (at least one), the
-    last one shorter: rows of ``width`` values each, at most ``_BLOCK`` values to a slice."""
+    last one shorter: rows of ``width`` values each, at most ``_BLOCK`` values to a slice.
+    The slices are made as they are taken, so a count of any size costs nothing up front."""
     step = max(1, _BLOCK // width)
-    return [slice(start, min(start + step, n)) for start in range(0, n, step)]
+    return (slice(start, min(start + step, n)) for start in range(0, n, step))
 
 
 def _require_seed(seed) -> None:
@@ -365,28 +381,50 @@ class _Terms(NamedTuple):
 
 @dataclass(frozen=True, eq=False)
 class EvaluationGrid:
-    """Strictly increasing grid of t in (0,1), mapped to x = t/(1-t)."""
+    """Strictly increasing grid of t in (0,1), mapped to x = t/(1-t).
+
+    The grid keeps a private read-only copy of ``t_values`` (``default_grid``
+    hands over its own array instead).  ``x_values`` is built, read-only, on its
+    first read; the large-array paths take ``x`` one block at a time from
+    ``x_block`` instead, with the same bits.
+    """
 
     t_values: np.ndarray = field(repr=False)
-    x_values: np.ndarray = field(init=False, repr=False)
+    _copy: InitVar[bool] = True
 
-    def __post_init__(self):
-        t = np.array(self.t_values, dtype=float)
+    def __post_init__(self, _copy):
+        t = np.array(self.t_values, dtype=float) if _copy else self.t_values
         if t.ndim != 1 or t.size < 1:
             raise ParameterError("grid must be a one-dimensional, non-empty array")
         if not np.all((t > 0) & (t < 1)):  # also rejects NaN
             raise ParameterError("grid t-values must lie strictly inside (0, 1)")
         if np.any(t[1:] <= t[:-1]):
             raise ParameterError("grid t-values must be strictly increasing")
-        # both arrays are private read-only copies, so x stays t/(1-t) for good
-        x = 1.0 - t
-        np.divide(t, x, out=x)
-        t.flags.writeable = x.flags.writeable = False
+        t.flags.writeable = False
         object.__setattr__(self, "t_values", t)
-        object.__setattr__(self, "x_values", x)
 
     def __len__(self) -> int:
         return int(self.t_values.size)
+
+    @cached_property
+    def x_values(self) -> np.ndarray:
+        x = _x_of(self.t_values)
+        x.flags.writeable = False
+        return x
+
+    def x_block(self, block: slice) -> np.ndarray:
+        """``x_values[block]`` for a slice of ``_blocks(len(self))``; a block that is
+        the whole grid reads ``x_values``, any other is formed from its ``t``."""
+        if block.stop - block.start == len(self):
+            return self.x_values
+        return _x_of(self.t_values[block])
+
+
+def _x_of(t: np.ndarray) -> np.ndarray:
+    """``t / (1 - t)``, dividing ``t`` into ``1 - t`` in place."""
+    x = 1.0 - t
+    np.divide(t, x, out=x)
+    return x
 
 
 def default_grid(points: int = 2001, t_min: float = 1e-4, t_max: float = 1.0 - 1e-4,
@@ -398,7 +436,7 @@ def default_grid(points: int = 2001, t_min: float = 1e-4, t_max: float = 1.0 - 1
     """
     _require_grid_points(points, what)
     try:
-        return EvaluationGrid(np.linspace(t_min, t_max, int(points)))
+        return EvaluationGrid(np.linspace(t_min, t_max, int(points)), _copy=False)
     except MemoryError:
         raise ParameterError(f"{what} asks for a grid of {points} points, "
                              f"more than this machine can allocate") from None
@@ -428,6 +466,11 @@ def evaluate_curve(model: MixtureModel, grid: EvaluationGrid, which: str) -> Cur
     if which not in CURVE_KINDS:
         raise ParameterError(f"curve kind must be one of {CURVE_KINDS}, got {which!r}")
     x = grid.x_values
+    return CurveSeries(which=which, t=grid.t_values, x=x, values=_curve_values(model, x, which))
+
+
+def _curve_values(model: MixtureModel, x: np.ndarray, which: str) -> np.ndarray:
+    """``model``'s ``which`` curve at the points ``x``; a ``NumericalError`` names its t."""
     try:
         values = getattr(model, which)(x)
     except NumericalError as exc:
@@ -437,4 +480,4 @@ def evaluate_curve(model: MixtureModel, grid: EvaluationGrid, which: str) -> Cur
                 f"curve evaluation failed at t={t_bad:.6g}", witness=exc.witness
             ) from exc
         raise
-    return CurveSeries(which=which, t=grid.t_values, x=x, values=np.asarray(values, dtype=float))
+    return np.asarray(values, dtype=float)

@@ -152,7 +152,7 @@ class Scenario:
             raise ParameterError("scenario needs a transform chain or an explicit matrix_b")
         if self.chain is not None:
             object.__setattr__(self, "chain", tuple(self.chain))
-            # A, A*T1, ..., A*T1..Tk; verify_chain_witness recomputes the last, as its check
+            # A, A*T1, ..., A*T1..Tk; the last is B unless matrix_b is given
             images = itertools.accumulate(self.chain, apply_t_transform, initial=self.matrix_a)
             object.__setattr__(self, "_chain_images", tuple(images))
         if self.matrix_b is not None and self.matrix_b.n != self.matrix_a.n:
@@ -381,7 +381,8 @@ def _hyp_chain(s: Scenario, spec: PropositionSpec) -> list[HypothesisCheck]:
             "chain_majorization_witness", False,
             "not verifiable: scenario provides matrix_b without a transform chain",
         )]
-    ok = verify_chain_witness(s.matrix_a, s.resolved_matrix_b(), s.chain)
+    # without matrix_b, B is the chain's own last image: there is nothing to compare
+    ok = s.matrix_b is None or verify_chain_witness(s.matrix_a, s.matrix_b, s.chain)
     checks = [HypothesisCheck(
         "chain_majorization_witness", ok,
         f"chain of {len(s.chain)} transform(s) reproduces matrix_b" if ok

@@ -1,9 +1,10 @@
 """The large-array paths give the same results, to the bit, for every block size.
 
 ``check_st``, ``check_hr``, ``MixtureModel.sample`` and the CLI's ``curve`` and
-``sample`` output work one block of ``mixture._BLOCK`` points at a time.  Each
-test runs its work with the block patched to a small odd size and to one larger
-than any grid here, and compares the reprs, bytes or draws.
+``sample`` output work one block of ``mixture._BLOCK`` points at a time, and
+draw the sample and form the grid's ``x`` per block.  Each test runs its work
+with the block patched to a small odd size and to one larger than any grid
+here, and compares the reprs, bytes or draws.
 """
 
 import json
@@ -23,6 +24,7 @@ from mixorder import (
     search_counterexamples,
     verify_example,
 )
+from mixorder.errors import ParameterError
 from mixorder.mixture import CURVE_KINDS, EvaluationGrid
 from mixorder.orders import _check_hr
 from mixorder.theorems import scenario_from_dict
@@ -119,6 +121,21 @@ def test_propositions_and_search(monkeypatch):
     assert small == large
 
 
+def test_x_blocks(monkeypatch):
+    # each block's x has the bits of t / (1 - t); only a grid of one block builds x_values
+    grid = default_grid(3 * SMALL + 1)
+    monkeypatch.setattr(mixture, "_BLOCK", SMALL)
+    small = np.concatenate([grid.x_block(b) for b in mixture._blocks(len(grid))])
+    check_st(*PAIRS[0][1:], grid)
+    check_hr(*PAIRS[0][1:], grid)
+    assert "x_values" not in vars(grid)
+    monkeypatch.setattr(mixture, "_BLOCK", LARGE)
+    (whole,) = mixture._blocks(len(grid))
+    assert grid.x_block(whole) is grid.x_values
+    t = grid.t_values
+    assert small.tobytes() == grid.x_values.tobytes() == (t / (1.0 - t)).tobytes()
+
+
 def whole_sample(m, n, seed):
     """The sampler as one computation on all ``n`` draws: the reference stream."""
     rng = np.random.default_rng(seed)
@@ -138,15 +155,41 @@ def test_sample_draws(monkeypatch, name, m1, m2):
     assert small.tobytes() == large.tobytes() == whole_sample(m1, n, 11).tobytes()
 
 
+ONE_COMPONENT = MixtureModel.vary_alpha(Exponential(2.0), 0.7, [(1.0, 0.4)])
+STREAMED = [(name, m) for name, m, _ in SAMPLED[:2]] + [("one_component", ONE_COMPONENT)]
+
+
+@pytest.mark.parametrize("n", [1, SMALL - 1, SMALL, 3 * SMALL + 1])
+@pytest.mark.parametrize("name, m", STREAMED, ids=[p[0] for p in STREAMED])
+def test_streamed_sample_blocks(monkeypatch, name, m, n):
+    # the blocks are those of _blocks(n), and together they are the one-shot stream
+    def work():
+        blocks = list(m._sample_blocks(n, 6))
+        assert [b.size for b in blocks] == [s.stop - s.start for s in mixture._blocks(n)]
+        return np.concatenate(blocks)
+
+    small, large = at_both_sizes(monkeypatch, work)
+    assert small.tobytes() == large.tobytes() == whole_sample(m, n, 6).tobytes()
+
+
+def test_streamed_sample_checks_before_drawing():
+    m = PAIRS[0][1]
+    with pytest.raises(ParameterError, match="sample count"):
+        m._sample_blocks(0, 1)
+    with pytest.raises(ParameterError, match="seed"):
+        m._sample_blocks(5, -1)
+
+
 def test_sample_draws_of_many_components(monkeypatch):
-    # 300 components: the sampler keeps its component indices as uint16, the reference as int64
+    # 300 components, so component indices past 255 occur: the blocks draw the same
+    # indices as the one-shot reference
     rng = np.random.default_rng(300)
     w = rng.dirichlet(np.ones(300))
     m = MixtureModel.vary_lambda(Exponential(1.5), 0.4, zip(w / w.sum(), rng.uniform(0.2, 3.0, 300)))
     n = 3 * SMALL + 1
     small, large = at_both_sizes(monkeypatch, lambda: m.sample(n, 4))
     assert small.tobytes() == large.tobytes() == whole_sample(m, n, 4).tobytes()
-    # components past index 255, which a uint8 index would wrap, are drawn
+    # components past index 255 are drawn
     assert np.random.default_rng(4).choice(300, size=n, p=np.asarray(m.weights)).max() > 255
 
 

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from mixorder import MixtureModel, cli
-from mixorder.mixture import _BLOCK
+from mixorder.mixture import _BLOCK, _blocks
 from mixorder.orders import OrderVerdict, _undecided
 from mixorder.theorems import (
     HypothesisCheck,
@@ -618,7 +618,9 @@ class TestWriterBytes:
     def test_sample_file(self, tmp_path, capsys, monkeypatch):
         n = 3 * _BLOCK + 11
         draws = self.values(n, 3)
-        monkeypatch.setattr(MixtureModel, "sample", lambda self, count, seed: draws[:count])
+        # the sampler's blocks, as the command streams them
+        monkeypatch.setattr(MixtureModel, "_sample_blocks",
+                            lambda self, count, seed: (draws[b] for b in _blocks(count)))
         out = tmp_path / "draws.txt"
         code, _, _ = run(
             ["sample", str(cli.bundled_scenario_path(1)), "--n", str(n), "--out", str(out)], capsys

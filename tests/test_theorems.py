@@ -20,6 +20,7 @@ from mixorder import (
     example_scenario,
     search_counterexamples,
     t7_ratio_monotone,
+    theorems,
     verify_example,
 )
 from mixorder.theorems import _ASSERTED, PROPOSITIONS, bundled_scenario_path, read_scenario
@@ -186,6 +187,27 @@ class TestCheckTheorem:
                 chain=(TTransform(0.5, (0, 2, 1)),), grid=default_grid(11),
             )
         assert str(info.value) == "transform size 3 does not match matrix width 2"
+
+    @pytest.mark.parametrize("matrix_b, calls, satisfied", [
+        (None, 0, True),  # B is the chain's own image: nothing to compare
+        (ParameterMatrix((0.48, 0.52), (0.36, 0.34)), 1, True),
+        (ParameterMatrix((0.48, 0.52), (0.36, 0.35)), 1, False),
+    ])
+    def test_chain_witness_compares_only_a_given_matrix_b(self, monkeypatch, matrix_b, calls,
+                                                           satisfied):
+        seen = []
+        verify = theorems.verify_chain_witness
+        monkeypatch.setattr(theorems, "verify_chain_witness", lambda *a: seen.append(a) or verify(*a))
+        s = Scenario(
+            baseline=Exponential(1.0), variant="vary_alpha", common_param=0.5,
+            matrix_a=ParameterMatrix((0.6, 0.4), (0.3, 0.4)), chain=(TTransform(0.4, (1, 0)),),
+            matrix_b=matrix_b, grid=default_grid(201),
+        )
+        chain_hyp = check_theorem("T1i", s).hypotheses[0]
+        assert len(seen) == calls
+        assert (chain_hyp.name, chain_hyp.satisfied) == ("chain_majorization_witness", satisfied)
+        assert chain_hyp.detail == ("chain of 1 transform(s) reproduces matrix_b" if satisfied
+                                    else "chain does not reproduce matrix_b within 1e-9")
 
     def test_matrix_b_only_scenario_cannot_verify_chain(self):
         s = Scenario(
