@@ -23,6 +23,7 @@ import itertools
 import json
 import math
 import os
+import shutil
 import sys
 import tempfile
 from importlib import resources
@@ -31,7 +32,7 @@ from typing import Iterable, Iterator
 
 import numpy as np
 
-from . import orders
+from . import mixture, orders
 from .errors import (
     DomainError,
     InfiniteMeanSuspected,
@@ -42,7 +43,16 @@ from .errors import (
     ShapeError,
     TailError,
 )
-from .mixture import CURVE_KINDS, EvaluationGrid, _blocks, _curve_values, _require_grid_points
+from .mixture import (
+    CURVE_KINDS,
+    EvaluationGrid,
+    _blocks,
+    _curve_values,
+    _require_count,
+    _require_grid_points,
+    _require_seed,
+    _x_of,
+)
 from .theorems import (  # scenario_to_dict and bundled_scenario_path are re-exported
     EXAMPLE_IDS,
     SEARCHABLE_IDS,
@@ -155,7 +165,7 @@ def _format_rows(columns: list, precision: int) -> Iterator[bytes]:
 def _curve_rows(models, grid: EvaluationGrid, which: str) -> Iterator[bytes]:
     """The models' ``which`` curves as CSV rows, evaluated and formatted one block at a time."""
     for block in _blocks(len(grid)):
-        x = grid.x_block(block)
+        x = _x_of(grid.t_values[block])
         values = [_curve_values(m, x, which) for m in models]
         yield from _format_rows([grid.t_values[block], x, *values], 15)
 
@@ -261,12 +271,32 @@ def _cmd_search(args) -> int:
     return EXIT_OK
 
 
+def _require_room(path: Path, size: int, what: str) -> None:
+    """A usage error naming ``path`` when its file system has fewer than ``size`` bytes free."""
+    folder = path.absolute().parent
+    while not folder.exists():  # _atomic_write makes the missing folders
+        folder = folder.parent
+    try:
+        free = shutil.disk_usage(folder).free
+    except OSError as exc:
+        raise ParameterError(f"cannot write {path}: {exc}") from exc
+    if size > free:
+        raise ParameterError(f"cannot write {path}: {what} take at least {size} bytes, "
+                             f"{free} are free")
+
+
 def _cmd_sample(args) -> int:
     scenario = load_scenario(args.scenario)
-    blocks = scenario.model_a()._sample_blocks(args.n, args.seed)
-    _atomic_write(Path(args.out), itertools.chain.from_iterable(
-        _format_rows([draws], 17) for draws in blocks))
-    print(f"wrote {args.n} samples to {args.out}")
+    model, n, out = scenario.model_a(), args.n, Path(args.out)
+    _require_count(n, "sample count")
+    _require_seed(args.seed)
+    # every line is at least a digit and a newline: a count the disk cannot take fails here
+    _require_room(out, 2 * n, f"{n} draws")
+    # one sample() call per block of the same stream, each made as the file takes it
+    step = mixture._BLOCK
+    blocks = (model.sample(n, args.seed, slice(start, start + step)) for start in range(0, n, step))
+    _atomic_write(out, itertools.chain.from_iterable(_format_rows([d], 17) for d in blocks))
+    print(f"wrote {n} samples to {args.out}")
     return EXIT_OK
 
 

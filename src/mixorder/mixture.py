@@ -23,7 +23,7 @@ from __future__ import annotations
 import math
 from dataclasses import InitVar, dataclass, field
 from functools import cached_property
-from typing import Iterable, Iterator, NamedTuple
+from typing import Iterable, NamedTuple
 
 import numpy as np
 
@@ -251,49 +251,41 @@ class MixtureModel:
                 out[todo] = w
         return out
 
-    def sample(self, n: int, seed: int) -> np.ndarray:
+    def sample(self, n: int, seed: int, block: slice | None = None) -> np.ndarray:
         """Inverse-transform sampling: pick a component, invert its survival.
 
         The draws are those of ``default_rng(seed)`` choosing all ``n`` component
-        indices and then drawing ``n`` uniforms; ``_sample_blocks`` makes them
-        one block at a time.
-        """
-        blocks = self._sample_blocks(n, seed)
-        draws = np.empty(n)
-        for block, values in zip(_blocks(n), blocks):
-            draws[block] = values
-        return draws
-
-    def _sample_blocks(self, n: int, seed: int) -> Iterator[np.ndarray]:
-        """The draws of ``sample(n, seed)`` as consecutive blocks of ``_blocks(n)``.
-
-        The indices come from one ``choice`` call per block on ``default_rng(seed)``,
-        each taking one double of its stream per draw; the uniforms come from a
-        second generator on the same seed, advanced past the ``n`` doubles that
-        the indices take.  So the stream does not depend on the block size.  The
-        count and seed are checked here, before the first block is drawn.
+        indices and then drawing ``n`` uniforms.  ``block``, a slice of ``range(n)``,
+        makes only those draws of that stream, so a large sample can be taken one
+        block at a time: ``choice`` takes one double of the stream per index, so the
+        indices come from the seeded generator advanced to the block's start, and
+        the uniforms from a second one advanced past the ``n`` indices as well.
+        The work goes one ``_BLOCK`` of draws at a time.
         """
         _require_count(n, "sample count")
         _require_seed(seed)
+        start, stop, step = (slice(None) if block is None else block).indices(n)
+        if step != 1:
+            raise ParameterError(f"sample block must be a contiguous slice, got {block!r}")
         rng, uniforms = np.random.default_rng(seed), np.random.default_rng(seed)
-        uniforms.bit_generator.advance(n)
+        rng.bit_generator.advance(start)
+        uniforms.bit_generator.advance(n + start)
         p, alphas, lams = (np.asarray(v) for v in (self.weights, self.alphas, self.lams))
-
-        def draw(size: int) -> np.ndarray:
+        draws = np.empty(max(stop - start, 0))
+        for sub in _blocks(draws.size):
+            size = sub.stop - sub.start
             idx = rng.choice(self.n_components, size=size, p=p)
             v = uniforms.uniform(size=size)
             a, lam = alphas[idx], lams[idx]
-            return self.baseline.inverse_survival((v / (a + v * (1.0 - a))) ** (1.0 / lam))
+            draws[sub] = self.baseline.inverse_survival((v / (a + v * (1.0 - a))) ** (1.0 / lam))
+        return draws
 
-        return (draw(block.stop - block.start) for block in _blocks(n))
 
-
-def _blocks(n: int, width: int = 1) -> Iterator[slice]:
+def _blocks(n: int, width: int = 1) -> list[slice]:
     """``range(n)`` as consecutive slices of ``_BLOCK // width`` indices (at least one), the
-    last one shorter: rows of ``width`` values each, at most ``_BLOCK`` values to a slice.
-    The slices are made as they are taken, so a count of any size costs nothing up front."""
+    last one shorter: rows of ``width`` values each, at most ``_BLOCK`` values to a slice."""
     step = max(1, _BLOCK // width)
-    return (slice(start, min(start + step, n)) for start in range(0, n, step))
+    return [slice(start, min(start + step, n)) for start in range(0, n, step)]
 
 
 def _require_seed(seed) -> None:
@@ -385,8 +377,8 @@ class EvaluationGrid:
 
     The grid keeps a private read-only copy of ``t_values`` (``default_grid``
     hands over its own array instead).  ``x_values`` is built, read-only, on its
-    first read; the large-array paths take ``x`` one block at a time from
-    ``x_block`` instead, with the same bits.
+    first read; the large-array paths form each block's ``x`` from its ``t`` with
+    ``_x_of`` instead, with the same bits.
     """
 
     t_values: np.ndarray = field(repr=False)
@@ -411,13 +403,6 @@ class EvaluationGrid:
         x = _x_of(self.t_values)
         x.flags.writeable = False
         return x
-
-    def x_block(self, block: slice) -> np.ndarray:
-        """``x_values[block]`` for a slice of ``_blocks(len(self))``; a block that is
-        the whole grid reads ``x_values``, any other is formed from its ``t``."""
-        if block.stop - block.start == len(self):
-            return self.x_values
-        return _x_of(self.t_values[block])
 
 
 def _x_of(t: np.ndarray) -> np.ndarray:

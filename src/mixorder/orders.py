@@ -28,7 +28,7 @@ from .errors import (
     ParameterError,
     TailError,
 )
-from .mixture import EvaluationGrid, MixtureModel, _blocks
+from .mixture import EvaluationGrid, MixtureModel, _blocks, _x_of
 
 __all__ = [
     "OrderVerdict",
@@ -137,7 +137,7 @@ def check_st(
     """Pointwise survival comparison on the grid, one block of points at a time."""
     leq = geq = None
     for block in _blocks(len(grid)):
-        l1, l2 = _baseline_pair(m1, m2, "log_survival", grid.x_block(block))
+        l1, l2 = _baseline_pair(m1, m2, "log_survival", _x_of(grid.t_values[block]))
         s1 = m1._terms(l1).survival()
         s2 = m2._terms(l2).survival()
         leq = _first_max(np.maximum(s1 - s2, 0.0), block.start, leq)
@@ -178,7 +178,7 @@ def _check_hr(m1, m2, grid, hazard, slack=DEFAULT_SLACK) -> OrderVerdict:
     leq = geq = tail_leq = tail_geq = t_cut = None
     hz_leq = hz_geq = True
     for block in _blocks(len(grid)):
-        x = grid.x_block(block)
+        x = _x_of(grid.t_values[block])
         l1, l2 = _baseline_pair(m1, m2, "log_survival", x)
         k1, k2 = m1._terms(l1), m2._terms(l2)
         s1, s2 = k1.survival(), k2.survival()

@@ -122,16 +122,13 @@ def test_propositions_and_search(monkeypatch):
 
 
 def test_x_blocks(monkeypatch):
-    # each block's x has the bits of t / (1 - t); only a grid of one block builds x_values
+    # each block's x has the bits of t / (1 - t); the checks do not build x_values
     grid = default_grid(3 * SMALL + 1)
     monkeypatch.setattr(mixture, "_BLOCK", SMALL)
-    small = np.concatenate([grid.x_block(b) for b in mixture._blocks(len(grid))])
+    small = np.concatenate([mixture._x_of(grid.t_values[b]) for b in mixture._blocks(len(grid))])
     check_st(*PAIRS[0][1:], grid)
     check_hr(*PAIRS[0][1:], grid)
     assert "x_values" not in vars(grid)
-    monkeypatch.setattr(mixture, "_BLOCK", LARGE)
-    (whole,) = mixture._blocks(len(grid))
-    assert grid.x_block(whole) is grid.x_values
     t = grid.t_values
     assert small.tobytes() == grid.x_values.tobytes() == (t / (1.0 - t)).tobytes()
 
@@ -161,23 +158,30 @@ STREAMED = [(name, m) for name, m, _ in SAMPLED[:2]] + [("one_component", ONE_CO
 
 @pytest.mark.parametrize("n", [1, SMALL - 1, SMALL, 3 * SMALL + 1])
 @pytest.mark.parametrize("name, m", STREAMED, ids=[p[0] for p in STREAMED])
-def test_streamed_sample_blocks(monkeypatch, name, m, n):
-    # the blocks are those of _blocks(n), and together they are the one-shot stream
+def test_sample_by_blocks(monkeypatch, name, m, n):
+    # sample() of each block of _blocks(n), and of slices across them, makes those
+    # draws of the one-shot stream
+    whole = whole_sample(m, n, 6)
+
     def work():
-        blocks = list(m._sample_blocks(n, 6))
+        blocks = [m.sample(n, 6, b) for b in mixture._blocks(n)]
         assert [b.size for b in blocks] == [s.stop - s.start for s in mixture._blocks(n)]
         return np.concatenate(blocks)
 
     small, large = at_both_sizes(monkeypatch, work)
-    assert small.tobytes() == large.tobytes() == whole_sample(m, n, 6).tobytes()
+    assert small.tobytes() == large.tobytes() == m.sample(n, 6).tobytes() == whole.tobytes()
+    for block in (slice(n // 2, None), slice(n // 3, n - n // 3), slice(n, n + 5)):
+        assert m.sample(n, 6, block).tobytes() == whole[block].tobytes()
 
 
-def test_streamed_sample_checks_before_drawing():
+def test_sample_block_must_be_contiguous():
     m = PAIRS[0][1]
+    with pytest.raises(ParameterError, match="contiguous"):
+        m.sample(10, 1, slice(0, 10, 2))
     with pytest.raises(ParameterError, match="sample count"):
-        m._sample_blocks(0, 1)
+        m.sample(0, 1, slice(0, 1))
     with pytest.raises(ParameterError, match="seed"):
-        m._sample_blocks(5, -1)
+        m.sample(5, -1, slice(0, 1))
 
 
 def test_sample_draws_of_many_components(monkeypatch):

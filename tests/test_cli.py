@@ -4,13 +4,14 @@ import math
 import os
 import re
 import stat
+from types import SimpleNamespace
 
 import jsonschema
 import numpy as np
 import pytest
 
 from mixorder import MixtureModel, cli
-from mixorder.mixture import _BLOCK, _blocks
+from mixorder.mixture import _BLOCK
 from mixorder.orders import OrderVerdict, _undecided
 from mixorder.theorems import (
     HypothesisCheck,
@@ -565,6 +566,22 @@ class TestSample:
         assert err == "error: sample count must be a positive integer, got 0\n"
         assert not out.exists()
 
+    def test_count_the_disk_cannot_take_fails_at_once(self, tmp_path, capsys, monkeypatch):
+        # every draw takes at least two bytes ("0\n"), so 501 draws do not fit in 1,000
+        def no_draws(*args):
+            raise AssertionError("sampled before the room was checked")
+
+        monkeypatch.setattr(cli.shutil, "disk_usage", lambda path: SimpleNamespace(free=1_000))
+        monkeypatch.setattr(MixtureModel, "sample", no_draws)
+        out = tmp_path / "new" / "s.txt"
+        code, stdout, err = run(
+            ["sample", str(cli.bundled_scenario_path(1)), "--n", "501", "--out", str(out)], capsys
+        )
+        assert (code, stdout) == (2, "")
+        assert err == (f"error: cannot write {out}: 501 draws take at least 1002 bytes, "
+                       "1000 are free\n")
+        assert list(tmp_path.iterdir()) == []
+
     def test_large_sample_matches_analytic_survival(self, tmp_path, capsys):
         out = tmp_path / "draws.txt"
         code, _, _ = run(
@@ -618,9 +635,9 @@ class TestWriterBytes:
     def test_sample_file(self, tmp_path, capsys, monkeypatch):
         n = 3 * _BLOCK + 11
         draws = self.values(n, 3)
-        # the sampler's blocks, as the command streams them
-        monkeypatch.setattr(MixtureModel, "_sample_blocks",
-                            lambda self, count, seed: (draws[b] for b in _blocks(count)))
+        # the command asks the sampler for one block of the draws at a time
+        monkeypatch.setattr(MixtureModel, "sample",
+                            lambda self, count, seed, block=None: draws[:count][block])
         out = tmp_path / "draws.txt"
         code, _, _ = run(
             ["sample", str(cli.bundled_scenario_path(1)), "--n", str(n), "--out", str(out)], capsys
