@@ -9,15 +9,16 @@ Conventions (smaller = shorter-lived):
 * ``m1 <=lorenz m2``  -- Lorenz curve of m1 above the one of m2 pointwise.
 
 Every check returns an :class:`OrderVerdict` for both directions with the
-worst violation magnitude and its grid witness.  Monotonicity checks use the
-scaled consecutive-difference slack ``DEFAULT_SLACK * max(1, |value|)`` so that
-grid discretization of a genuinely monotone curve cannot fail.
+worst violation magnitude and its grid witness.  Monotonicity checks, here and
+for the T7/C7 ratio in ``theorems``, all use ``_monotone_max``, the one home of
+the scaled consecutive-difference slack ``DEFAULT_SLACK * max(1, |value|)``, so
+that grid discretization of a genuinely monotone curve cannot fail.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -99,14 +100,18 @@ def _first_max(viol: np.ndarray, offset: int = 0, best=None) -> tuple[float, int
     return best
 
 
-def _directional_verdict(
-    viol_leq: np.ndarray,
-    viol_geq: np.ndarray,
-    t: np.ndarray,
-    slack: float,
-    **extra,
-) -> OrderVerdict:
-    return _verdict(_first_max(viol_leq), _first_max(viol_geq), t, slack, **extra)
+def _monotone_max(values: np.ndarray, start: int = 0, best=None, prev=None):
+    """``_first_max`` of the falls ``max((v[i] - v[i+1]) / max(1, |v[i]|), 0)`` of
+    ``values``, fall i at index ``start + i``, with the earlier blocks' ``best``
+    folded in; and ``values[-1:]``, which the next block passes as ``prev`` to add
+    the step across the boundary.  ``values`` with ``prev`` has two or more entries.
+    """
+    if prev is not None:
+        values = np.concatenate((prev, values))
+        start -= 1
+    head = values[:-1]
+    falls = np.maximum((head - values[1:]) / np.maximum(1.0, np.abs(head)), 0.0)
+    return _first_max(falls, start, best), values[-1:]
 
 
 def _verdict(leq: tuple[float, int], geq: tuple[float, int], t, slack: float, **extra) -> OrderVerdict:
@@ -145,12 +150,6 @@ def check_st(
     return _verdict(leq, geq, grid.t_values, slack)
 
 
-def _monotone_violations(values: np.ndarray) -> np.ndarray:
-    """Per-step violation of nondecreasingness, scaled by max(1, |value|)."""
-    head = values[:-1]
-    return np.maximum((head - values[1:]) / np.maximum(1.0, np.abs(head)), 0.0)
-
-
 def check_hr(
     m1: MixtureModel,
     m2: MixtureModel,
@@ -175,7 +174,7 @@ def _check_hr(m1, m2, grid, hazard, slack=DEFAULT_SLACK) -> OrderVerdict:
     step starts from the previous block's last ratios, and the first block with a
     survival below the floor is cut there and ends the loop.
     """
-    leq = geq = tail_leq = tail_geq = t_cut = None
+    leq = geq = prev_leq = prev_geq = t_cut = None
     hz_leq = hz_geq = True
     for block in _blocks(len(grid)):
         x = _x_of(grid.t_values[block])
@@ -192,15 +191,8 @@ def _check_hr(m1, m2, grid, hazard, slack=DEFAULT_SLACK) -> OrderVerdict:
             return _undecided("fewer than two grid points with positive survival", truncated_at_t=t_cut)
         if x.size == 0:  # cut at the block's first point
             break
-        ratio_leq, ratio_geq = s2 / s1, s1 / s2
-        first = block.start
-        if first:  # the step across the block boundary
-            ratio_leq = np.concatenate((tail_leq, ratio_leq))
-            ratio_geq = np.concatenate((tail_geq, ratio_geq))
-            first -= 1
-        leq = _first_max(_monotone_violations(ratio_leq), first, leq)
-        geq = _first_max(_monotone_violations(ratio_geq), first, geq)
-        tail_leq, tail_geq = ratio_leq[-1:], ratio_geq[-1:]
+        leq, prev_leq = _monotone_max(s2 / s1, block.start, leq, prev_leq)
+        geq, prev_geq = _monotone_max(s1 / s2, block.start, geq, prev_geq)
 
         if hazard is None:
             r1, r2 = _baseline_pair(m1, m2, "hazard", x)
@@ -216,24 +208,13 @@ def _check_hr(m1, m2, grid, hazard, slack=DEFAULT_SLACK) -> OrderVerdict:
         if t_cut is not None:
             break
 
-    verdict = _verdict(
-        leq,
-        geq,
-        grid.t_values,
-        slack,
-        hazard_holds_leq=hz_leq,
-        hazard_holds_geq=hz_geq,
-        hazard_disagrees=False,
-        truncated_at_t=t_cut,
-        notes=() if t_cut is None else (f"grid truncated at t={t_cut:.6g} (survival underflow)",),
-    )
-    if (verdict.holds_leq != hz_leq) or (verdict.holds_geq != hz_geq):
-        verdict = replace(
-            verdict,
-            hazard_disagrees=True,
-            notes=verdict.notes + ("ratio and hazard criteria disagree beyond slack",),
-        )
-    return verdict
+    disagrees = (leq[0] <= slack) != hz_leq or (geq[0] <= slack) != hz_geq
+    notes = () if t_cut is None else (f"grid truncated at t={t_cut:.6g} (survival underflow)",)
+    if disagrees:
+        notes += ("ratio and hazard criteria disagree beyond slack",)
+    return _verdict(leq, geq, grid.t_values, slack, hazard_holds_leq=hz_leq,
+                    hazard_holds_geq=hz_geq, hazard_disagrees=disagrees,
+                    truncated_at_t=t_cut, notes=notes)
 
 
 def check_star(
@@ -264,9 +245,8 @@ def check_star(
         s_21 = m1._quantile(u2[keep], m1._table_start(u1[keep], l1[keep]))
     except TailError as exc:
         return _undecided(f"quantile inversion hit the tail guard: {exc}", notes=notes)
-    viol_leq = _monotone_violations(s_12 / x)
-    viol_geq = _monotone_violations(s_21 / x)
-    return _directional_verdict(viol_leq, viol_geq, t[:-1], DEFAULT_SLACK, notes=notes)
+    (leq, _), (geq, _) = _monotone_max(s_12 / x), _monotone_max(s_21 / x)
+    return _verdict(leq, geq, t, DEFAULT_SLACK, notes=notes)
 
 
 # -- Lorenz ------------------------------------------------------------------
@@ -326,9 +306,8 @@ def check_lorenz(
     c1 = lorenz_curve(m1)
     c2 = lorenz_curve(m2)
     diff = c1.l_values - c2.l_values
-    return _directional_verdict(
-        np.maximum(-diff, 0.0), np.maximum(diff, 0.0), c1.p_values, DEFAULT_SLACK
-    )
+    leq, geq = _first_max(np.maximum(-diff, 0.0)), _first_max(np.maximum(diff, 0.0))
+    return _verdict(leq, geq, c1.p_values, DEFAULT_SLACK)
 
 
 ORDERS = ("st", "hr", "star", "lorenz")

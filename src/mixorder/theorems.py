@@ -58,7 +58,7 @@ from .orders import (
     DEFAULT_SLACK,
     OrderVerdict,
     _check_hr,
-    _monotone_violations,
+    _monotone_max,
     _undecided,
     check_order,
 )
@@ -204,13 +204,8 @@ def t7_ratio_monotone(
             inconclusive=True, reason="baseline hazard not positive and finite on the grid",
         )
     ratio = -np.expm1(lam * np.asarray(baseline.log_survival(x))) / (x * lam * r)
-    viol = _monotone_violations(-ratio)
-    worst = int(np.argmax(viol))
-    return MonotoneReport(
-        nonincreasing=bool(np.max(viol) <= DEFAULT_SLACK),
-        max_violation=float(np.max(viol)),
-        witness_t=float(grid.t_values[worst]),
-    )
+    (worst, i), _ = _monotone_max(-ratio)
+    return MonotoneReport(worst <= DEFAULT_SLACK, worst, float(grid.t_values[i]))
 
 
 # -- scenario documents ----------------------------------------------------------
@@ -343,7 +338,8 @@ def read_scenario(path: str | Path, grid_points: int | None = None,
 
 
 def scenario_to_dict(s: Scenario, theorem_id: str | None = None) -> dict:
-    """Serialize a Scenario back to its JSON document form."""
+    """Serialize a Scenario back to its JSON document form; a grid other than
+    ``np.linspace(t_min, t_max, points)``, bit for bit, is a ``ParameterError``."""
     doc: dict = {
         "baseline": {"kind": s.baseline.kind, "params": s.baseline.params()},
         "model_variant": s.variant,
@@ -357,6 +353,8 @@ def scenario_to_dict(s: Scenario, theorem_id: str | None = None) -> dict:
     if s.matrix_b is not None:
         doc["matrix_b"] = {"p": list(s.matrix_b.top_row), "theta": list(s.matrix_b.bottom_row)}
     t = s.grid.t_values
+    if not np.array_equal(t, np.linspace(t[0], t[-1], t.size)):
+        raise ParameterError("only a uniform grid (points, t_min, t_max) can be serialized")
     doc["grid"] = {"points": len(s.grid), "t_min": float(t[0]), "t_max": float(t[-1])}
     if s.group_sizes is not None:
         doc["group_sizes"] = list(s.group_sizes)

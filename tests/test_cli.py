@@ -10,7 +10,7 @@ import jsonschema
 import numpy as np
 import pytest
 
-from mixorder import MixtureModel, cli
+from mixorder import EvaluationGrid, MixtureModel, ParameterError, cli, default_grid
 from mixorder.mixture import _BLOCK
 from mixorder.orders import OrderVerdict, _undecided
 from mixorder.theorems import (
@@ -72,6 +72,9 @@ MALFORMED = [
     (1, ("chain", 0, "permutation", 1), False, "chain[0].permutation[1]: False is not a JSON integer"),
     (7, ("group_sizes", 0), 3.0, "group_sizes[0]: 3.0 is not a JSON integer"),
     (7, ("group_sizes", 1), "2", "group_sizes[1]: '2' is not a JSON integer"),
+    # a one-column matrix is refused by ParameterMatrix itself
+    (1, ("matrix_a",), {"p": [1.0], "theta": [0.3]},
+     "malformed scenario value: parameter matrix needs two rows of equal length n >= 2"),
 ]
 
 
@@ -117,6 +120,16 @@ class TestScenarioFiles:
         s2 = cli.parse_scenario(doc2)
         assert cli.scenario_to_dict(s2) == cli.scenario_to_dict(s1)
         assert np.array_equal(s1.grid.t_values, s2.grid.t_values)
+
+    def test_only_a_uniform_grid_is_serialized(self):
+        # the document names a grid by points, t_min and t_max, which cannot hold this one
+        s = dataclasses.replace(cli.load_scenario(cli.bundled_scenario_path(1)),
+                                grid=EvaluationGrid([0.1, 0.2, 0.9]))
+        with pytest.raises(ParameterError, match="only a uniform grid"):
+            cli.scenario_to_dict(s)
+        uniform = dataclasses.replace(s, grid=default_grid(292, 0.01, 0.9))
+        back = cli.parse_scenario(cli.scenario_to_dict(uniform))
+        assert np.array_equal(back.grid.t_values, uniform.grid.t_values)
 
     @pytest.mark.parametrize("k", range(1, 8))
     def test_files_match_canned_scenarios(self, k):
@@ -396,6 +409,17 @@ def test_schema_properties_are_the_dataclass_fields(schema, definition, cls):
     assert sorted(properties) == sorted(f.name for f in dataclasses.fields(cls))
 
 
+class TestParser:
+    def test_help_exits_0(self, capsys):
+        code, stdout, _ = run(["--help"], capsys)
+        assert code == 0 and stdout.startswith("usage: mixorder")
+
+    def test_unknown_command_exits_2(self, capsys):
+        code, stdout, err = run(["bogus"], capsys)
+        assert (code, stdout) == (2, "")
+        assert "invalid choice: 'bogus'" in err
+
+
 class TestCheckOrder:
     def test_st_on_reference_pair(self, capsys):
         code, out, _ = run(
@@ -581,6 +605,19 @@ class TestSample:
         assert err == (f"error: cannot write {out}: 501 draws take at least 1002 bytes, "
                        "1000 are free\n")
         assert list(tmp_path.iterdir()) == []
+
+    def test_unreadable_free_space_exits_2(self, tmp_path, capsys, monkeypatch):
+        def no_usage(path):
+            raise PermissionError(13, "Permission denied", str(path))
+
+        monkeypatch.setattr(cli.shutil, "disk_usage", no_usage)
+        out = tmp_path / "s.txt"
+        code, stdout, err = run(
+            ["sample", str(cli.bundled_scenario_path(1)), "--n", "5", "--out", str(out)], capsys
+        )
+        assert (code, stdout) == (2, "")
+        assert err.startswith(f"error: cannot write {out}: [Errno 13] Permission denied")
+        assert not out.exists()
 
     def test_large_sample_matches_analytic_survival(self, tmp_path, capsys):
         out = tmp_path / "draws.txt"

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -148,6 +150,15 @@ class TestTransforms:
 
 
 class TestWitness:
+    @pytest.mark.parametrize("bad", [0.0, -0.3, math.inf, math.nan])
+    def test_entries_must_be_positive_reals(self, bad):
+        with pytest.raises(ParameterError, match="entries must be positive reals"):
+            ParameterMatrix((0.5, 0.5), (0.3, bad))
+
+    def test_widths_must_match(self):
+        with pytest.raises(ShapeError, match="matrix widths differ: 2 vs 3"):
+            verify_chain_witness(EX1[0], ParameterMatrix((0.2, 0.3, 0.5), (1, 2, 3)), [])
+
     def test_reference_witness_true(self):
         a, chain, expected = EX1
         b = ParameterMatrix(tuple(expected[0]), tuple(expected[1]))
@@ -234,6 +245,10 @@ class TestRowMajorization:
     def test_reflexive(self):
         assert row_majorizes(EX1[0], EX1[0])
 
+    def test_widths_must_match(self):
+        with pytest.raises(ShapeError, match="matrix widths differ: 3 vs 2"):
+            row_majorizes(ParameterMatrix((0.2, 0.3, 0.5), (1, 2, 3)), EX1[0])
+
     def test_swapped_rows_generally_fail(self):
         # exchanging B's two rows breaks the total-sum condition row-wise
         a = EX1[0]
@@ -269,6 +284,16 @@ class TestRecovery:
         a = EX1[0]
         t = recover_t_transform_2x2(a, a)
         assert t is not None and t.omega == pytest.approx(1.0, abs=1e-12)
+
+    def test_needs_2x2(self):
+        wide = ParameterMatrix((0.2, 0.3, 0.5), (1, 2, 3))
+        with pytest.raises(ShapeError, match="2x2 matrices only"):
+            recover_t_transform_2x2(wide, wide)
+
+    def test_constant_rows_give_the_identity(self):
+        # every omega maps constant rows to themselves; omega = 1 is the one returned
+        a = ParameterMatrix((0.5, 0.5), (0.3, 0.3))
+        assert recover_t_transform_2x2(a, a) == TTransform(1.0, (1, 0))
 
     def test_unreachable_matrix(self):
         a = EX1[0]

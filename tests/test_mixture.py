@@ -41,6 +41,15 @@ class TestConstruction:
         with pytest.raises(ParameterError):
             MixtureModel.vary_alpha(EXP1, 1.0, [(1.2, 0.5), (-0.2, 0.5)])
 
+    @pytest.mark.parametrize("weights, alphas, lams", [
+        ((0.5, 0.5), (1.0,), (1.0, 1.0)),
+        ((0.5, 0.5), (1.0, 1.0), (1.0,)),
+        ((), (), ()),
+    ], ids=["alphas", "lams", "empty"])
+    def test_lengths_must_match(self, weights, alphas, lams):
+        with pytest.raises(ParameterError, match="must share a positive length"):
+            MixtureModel(EXP1, weights, alphas, lams)
+
     def test_parameters_must_be_positive(self):
         with pytest.raises(ParameterError):
             MixtureModel.vary_alpha(EXP1, 0.0, [(1.0, 0.5)])
@@ -509,6 +518,11 @@ class TestCurves:
             EvaluationGrid(np.array([0.0, 0.5]))
         with pytest.raises(ParameterError):
             default_grid(0)
+
+    @pytest.mark.parametrize("t", [[[0.2, 0.3]], []], ids=["2d", "empty"])
+    def test_grid_must_be_one_dimensional_and_non_empty(self, t):
+        with pytest.raises(ParameterError, match="one-dimensional, non-empty"):
+            EvaluationGrid(np.array(t))
 
     @pytest.mark.parametrize("t", [[0.2, float("nan"), 0.3], [float("nan")], [0.1, 0.5, float("nan")]])
     def test_grid_rejects_nan(self, t):

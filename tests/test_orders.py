@@ -7,6 +7,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from mixorder import (
+    DomainError,
     Exponential,
     InfiniteMeanSuspected,
     MixtureModel,
@@ -33,8 +34,8 @@ from mixorder.orders import (
     _CDF_HI,
     _CDF_LO,
     DEFAULT_SLACK,
-    _directional_verdict,
-    _monotone_violations,
+    OrderVerdict,
+    _monotone_max,
     _undecided,
 )
 from conftest import random_mixture
@@ -83,6 +84,46 @@ def fd_combination(f, args):
     steps = [1e-6 * max(1.0, abs(v)) for v in (p1, p2, c1, c2)]
     d = [central_diff(f, args, i, steps[i]) for i in range(4)]
     return (p1 - p2) * (d[0] - d[1]) + (c1 - c2) * (d[2] - d[3])
+
+
+# -- the monotone rule -------------------------------------------------------------
+
+# repeated values give tied falls; NaN falls are the maximum
+_RATIO_VALUES = st.sampled_from([0.0, 0.5, 1.0, 2.0, -1.0, np.nan]) | st.floats(-1e6, 1e6)
+
+
+class TestMonotoneMax:
+    """``_monotone_max`` carried across blocks gives what one call on the whole gives."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(sizes=st.lists(st.integers(1, 4), min_size=1, max_size=10), data=st.data())
+    def test_any_split_matches_one_call(self, sizes, data):
+        sizes[0] += 1  # the first block has no earlier value to step from
+        n = sum(sizes)
+        v = np.array(data.draw(st.lists(_RATIO_VALUES, min_size=n, max_size=n)))
+        falls = np.maximum((v[:-1] - v[1:]) / np.maximum(1.0, np.abs(v[:-1])), 0.0)
+        i = int(falls.argmax())  # the first maximum, or the first NaN
+        whole, last = _monotone_max(v)
+        assert repr(whole) == repr((float(falls[i]), i))
+        best = prev = None
+        start = 0
+        for size in sizes:
+            best, prev = _monotone_max(v[start:start + size], start, best, prev)
+            start += size
+        assert repr(best) == repr(whole)
+        np.testing.assert_array_equal(prev, last)
+        np.testing.assert_array_equal(last, v[-1:])
+
+    @pytest.mark.parametrize("values, want", [
+        ([2.0, 1.0, 2.0, 1.0], (0.5, 0)),  # tied falls: the first wins
+        ([1.0, 2.0, 1.0, np.nan, 0.0, np.nan], (np.nan, 2)),  # the first NaN wins
+    ], ids=["tie", "nan"])
+    def test_blocks_of_one(self, values, want):
+        v = np.array(values)
+        best, prev = _monotone_max(v[:2])
+        for i in range(2, v.size):
+            best, prev = _monotone_max(v[i:i + 1], i, best, prev)
+        assert repr(best) == repr(_monotone_max(v)[0]) == repr(want)
 
 
 # -- usual stochastic order -----------------------------------------------------
@@ -246,6 +287,14 @@ class TestCheckStar:
                 assert v.holds_leq and v.holds_geq
                 assert max(v.max_violation_leq, v.max_violation_geq) < 1e-13
 
+    def test_fewer_than_two_invertible_points_undecided(self):
+        # at rate 1e3 the cdf is above 1 - 3e-8 from t = 0.5 on
+        m = degenerate(Exponential(1e3))
+        v = check_star(m, m, default_grid(201, 0.5, 0.9))
+        assert v.inconclusive and not (v.holds_leq or v.holds_geq)
+        assert v.reason == "fewer than two grid points with invertible cdf"
+        assert v.notes == ("201 grid points dropped (cdf at 0 or 1)",)
+
     def test_scale_family_equivalence(self):
         # exp(1) vs exp(2): the quantile transport is x/2, so both directions hold
         v = check_star(degenerate(), degenerate(Exponential(2.0)), default_grid(301, 1e-3, 0.995))
@@ -270,10 +319,12 @@ def cold_check_star(m1, m2, grid):
         s_12, s_21 = m2.quantile(u1[keep]), m1.quantile(u2[keep])
     except TailError as exc:
         return _undecided(f"quantile inversion hit the tail guard: {exc}", notes=notes)
-    return _directional_verdict(
-        _monotone_violations(s_12 / x), _monotone_violations(s_21 / x), t[:-1], DEFAULT_SLACK,
-        notes=notes,
-    )
+    # scaled falls of each quantile ratio, the witness at the larger one's first maximum
+    leq, geq = (np.maximum((v[:-1] - v[1:]) / np.maximum(1.0, np.abs(v[:-1])), 0.0)
+                for v in (s_12 / x, s_21 / x))
+    i = leq.argmax() if leq.max() >= geq.max() else geq.argmax()
+    return OrderVerdict(bool(leq.max() <= DEFAULT_SLACK), bool(geq.max() <= DEFAULT_SLACK),
+                        float(leq.max()), float(geq.max()), float(t[i]), notes=notes)
 
 
 def star_pairs():
@@ -450,6 +501,17 @@ class TestCheckOrder:
 
 
 # -- sign-function evaluators ------------------------------------------------------
+
+
+@pytest.mark.parametrize("h, args", [
+    (h_pa, ((0.5, 0.5), (0.3, 0.6), 0.7)),
+    (h_plambda, ((0.5, 0.5), (0.5, 1.5), 0.4)),
+    (h_hr, ((0.5, 0.5), (0.4, 0.4), 0.7)),
+], ids=["h_pa", "h_plambda", "h_hr"])
+@pytest.mark.parametrize("x", [0.0, -1.0, np.inf, np.nan])
+def test_evaluation_point_must_be_positive_and_finite(h, args, x):
+    with pytest.raises(DomainError, match="evaluation point must be > 0"):
+        h(*args, EXP1, x)
 
 
 class TestHPa:

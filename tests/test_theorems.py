@@ -1,4 +1,5 @@
 import json
+import re
 from dataclasses import replace
 
 import mpmath as mp
@@ -94,6 +95,31 @@ class TestReadScenario:
         path.write_text(json.dumps(doc))
         _, s = read_scenario(path, grid_points=11)
         assert np.array_equal(s.grid.t_values, default_grid(5).t_values)
+
+
+class TestScenarioRefusals:
+    FIELDS = dict(baseline=Exponential(1.0), variant="vary_alpha", common_param=0.1,
+                  matrix_a=ParameterMatrix((0.6, 0.4), (0.3, 0.4)),
+                  chain=(TTransform(0.4, (1, 0)),))
+
+    @pytest.mark.parametrize("changes, error, message", [
+        ({"variant": "vary_beta"}, ParameterError, "unknown model variant 'vary_beta'"),
+        ({"common_param": 0.0}, ParameterError, "common parameter must be a positive real"),
+        ({"common_param": -0.1}, ParameterError, "common parameter must be a positive real"),
+        ({"chain": None}, ParameterError,
+         "scenario needs a transform chain or an explicit matrix_b"),
+        ({"matrix_b": ParameterMatrix((0.2, 0.3, 0.5), (0.1, 0.2, 0.3))}, ShapeError,
+         "matrix_a and matrix_b widths differ"),
+    ], ids=["variant", "zero_param", "negative_param", "no_chain_or_b", "widths"])
+    def test_refused(self, changes, error, message):
+        with pytest.raises(error, match=re.escape(message)):
+            Scenario(**(self.FIELDS | changes))
+
+    def test_groups_must_be_constant(self):
+        # example 7's A has weights 0.3, 0.3, 0.3, 0.05, 0.05: not constant on (2, 3)
+        _, s = example_scenario(7)
+        with pytest.raises(ShapeError, match="matrix_a weights are not constant"):
+            check_theorem("T7", replace(s, group_sizes=(2, 3)))
 
 
 class TestCheckTheorem:
@@ -364,6 +390,12 @@ class TestRatioMonotone:
     def test_single_point_grid_rejected(self):
         with pytest.raises(ParameterError):
             t7_ratio_monotone(Exponential(1.0), 1.0, default_grid(1))
+
+    def test_hazard_underflow_is_inconclusive(self):
+        # the hazard a*b*x**(a-1)/(1 + x**a) is about 5e-321/x: 0 at the grid's far end
+        report = t7_ratio_monotone(PowerBurr(1e-160, 1e-160), 1.0, default_grid())
+        assert report.inconclusive and not report.nonincreasing
+        assert report.reason == "baseline hazard not positive and finite on the grid"
 
 
 class TestSearch:
