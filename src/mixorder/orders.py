@@ -164,18 +164,41 @@ def check_hr(
     split decision beyond slack.  Grid points past survival underflow are
     dropped and the truncation point recorded.
     """
-    return _check_hr(m1, m2, grid, None, slack)
+    worst, hz, t_cut = _hr_scan(m1, m2, grid, ("leq", "geq"), hazard_slack=slack)
+    if worst is None:
+        return _undecided("fewer than two grid points with positive survival", truncated_at_t=t_cut)
+    leq, geq = worst["leq"], worst["geq"]
+    disagrees = (leq[0] <= slack) != hz["leq"] or (geq[0] <= slack) != hz["geq"]
+    notes = () if t_cut is None else (f"grid truncated at t={t_cut:.6g} (survival underflow)",)
+    if disagrees:
+        notes += ("ratio and hazard criteria disagree beyond slack",)
+    return _verdict(leq, geq, grid.t_values, slack, hazard_holds_leq=hz["leq"],
+                    hazard_holds_geq=hz["geq"], hazard_disagrees=disagrees,
+                    truncated_at_t=t_cut, notes=notes)
 
 
-def _check_hr(m1, m2, grid, hazard, slack=DEFAULT_SLACK) -> OrderVerdict:
-    """``check_hr`` given the shared baseline's hazard on the whole grid, or None.
+def _hr_settled(m1, m2, grid, direction: str) -> bool:
+    """``check_hr(m1, m2, grid)``'s ``holds_<direction> or inconclusive``, decided from
+    the survival ratio of that one direction, without the hazard cross-check."""
+    worst, _, _ = _hr_scan(m1, m2, grid, (direction,))
+    return worst is None or worst[direction][0] <= DEFAULT_SLACK
 
-    The grid is checked one block of points at a time.  Each block's first ratio
-    step starts from the previous block's last ratios, and the first block with a
-    survival below the floor is cut there and ends the loop.
+
+def _hr_scan(m1, m2, grid, directions, hazard_slack=None):
+    """``check_hr``'s survival-ratio criterion in each of ``directions``, one block of
+    the grid at a time.
+
+    Returns ``(worst, hazard_holds, t_cut)``.  ``worst`` maps each direction to the
+    ``_monotone_max`` of its ratio (``S2/S1`` for "leq", ``S1/S2`` for "geq"), or is
+    None when fewer than two grid points have positive survival.  With a
+    ``hazard_slack``, ``hazard_holds`` maps both directions to whether the pointwise
+    hazards order the models that way within it.  ``t_cut`` is the t where a survival
+    first falls below the floor, or None.  Each block's first ratio step starts from
+    the previous block's last ratios, and the block with the cut ends the scan.
     """
-    leq = geq = prev_leq = prev_geq = t_cut = None
-    hz_leq = hz_geq = True
+    worst, prev = dict.fromkeys(directions), dict.fromkeys(directions)
+    hz = {"leq": True, "geq": True}
+    t_cut = None
     for block in _blocks(len(grid)):
         x = _x_of(grid.t_values[block])
         l1, l2 = _baseline_pair(m1, m2, "log_survival", x)
@@ -188,33 +211,25 @@ def _check_hr(m1, m2, grid, hazard, slack=DEFAULT_SLACK) -> OrderVerdict:
             x, s1, s2 = x[:cut], s1[:cut], s2[:cut]
             k1, k2 = k1.head(cut), k2.head(cut)
         if block.start + x.size < 2:  # only the first block can end here
-            return _undecided("fewer than two grid points with positive survival", truncated_at_t=t_cut)
+            return None, hz, t_cut
         if x.size == 0:  # cut at the block's first point
             break
-        leq, prev_leq = _monotone_max(s2 / s1, block.start, leq, prev_leq)
-        geq, prev_geq = _monotone_max(s1 / s2, block.start, geq, prev_geq)
+        for d in directions:
+            num, den = (s2, s1) if d == "leq" else (s1, s2)
+            worst[d], prev[d] = _monotone_max(num / den, block.start, worst[d], prev[d])
 
-        if hazard is None:
+        if hazard_slack is not None:
             r1, r2 = _baseline_pair(m1, m2, "hazard", x)
-        else:
-            r1 = r2 = hazard[block][: x.size]
-        h1 = k1.hazard(r1, x)
-        h2 = k2.hazard(r2, x)
-        # h1 - h2 is -(h2 - h1) to the bit, so one scaled gap serves both directions;
-        # a NaN gap fails both, as it fails the maximum and minimum of the whole grid
-        gap = (h2 - h1) / np.maximum(1.0, np.maximum(np.abs(h1), np.abs(h2)))
-        hz_leq = hz_leq and bool(gap.max() <= slack)
-        hz_geq = hz_geq and bool(-gap.min() <= slack)
+            h1 = k1.hazard(r1, x)
+            h2 = k2.hazard(r2, x)
+            # h1 - h2 is -(h2 - h1) to the bit, so one scaled gap serves both directions;
+            # a NaN gap fails both, as it fails the maximum and minimum of the whole grid
+            gap = (h2 - h1) / np.maximum(1.0, np.maximum(np.abs(h1), np.abs(h2)))
+            hz["leq"] = hz["leq"] and bool(gap.max() <= hazard_slack)
+            hz["geq"] = hz["geq"] and bool(-gap.min() <= hazard_slack)
         if t_cut is not None:
             break
-
-    disagrees = (leq[0] <= slack) != hz_leq or (geq[0] <= slack) != hz_geq
-    notes = () if t_cut is None else (f"grid truncated at t={t_cut:.6g} (survival underflow)",)
-    if disagrees:
-        notes += ("ratio and hazard criteria disagree beyond slack",)
-    return _verdict(leq, geq, grid.t_values, slack, hazard_holds_leq=hz_leq,
-                    hazard_holds_geq=hz_geq, hazard_disagrees=disagrees,
-                    truncated_at_t=t_cut, notes=notes)
+    return worst, hz, t_cut
 
 
 def check_star(

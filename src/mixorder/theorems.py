@@ -50,14 +50,16 @@ from .majorization import (
 from .mixture import (
     EvaluationGrid,
     MixtureModel,
+    _blocks,
     _require_count,
     _require_seed,
+    _x_of,
     default_grid,
 )
 from .orders import (
     DEFAULT_SLACK,
     OrderVerdict,
-    _check_hr,
+    _hr_settled,
     _monotone_max,
     _undecided,
     check_order,
@@ -451,10 +453,16 @@ def _hyp_products_equal(s: Scenario) -> HypothesisCheck:
     )
 
 
-def _hyp_hazard_positive(r: np.ndarray) -> HypothesisCheck:
-    low = float(r.min())
-    ok = bool(np.isfinite(r).all() and low > 0)
-    return HypothesisCheck("baseline_hazard_positive", ok, f"min hazard {low:.3e}")
+def _hyp_hazard_positive(s: Scenario) -> HypothesisCheck:
+    """Whether the baseline hazard is positive and finite on the grid, read one block
+    of points at a time."""
+    low, finite = np.inf, True
+    for block in _blocks(len(s.grid)):
+        r = np.asarray(s.baseline.hazard(_x_of(s.grid.t_values[block])))
+        low = np.minimum(low, r.min())  # a NaN anywhere is the minimum
+        finite = finite and bool(np.isfinite(r).all())
+    low = float(low)
+    return HypothesisCheck("baseline_hazard_positive", finite and low > 0, f"min hazard {low:.3e}")
 
 
 def _group_params(matrix: ParameterMatrix, sizes: tuple[int, int], label: str):
@@ -656,15 +664,11 @@ def check_theorem(theorem_id: str, s: Scenario) -> TheoremReport:
             hypotheses.append(_hyp_products_equal(s))
 
     if spec.order == "hr":
-        # one evaluation serves the hypothesis and the hazard-rate check
-        hazard = np.asarray(s.baseline.hazard(s.grid.x_values))
-        hypotheses.append(_hyp_hazard_positive(hazard))
-        conclusion = _check_hr(model_a, model_b, s.grid, hazard)
-    else:
-        try:
-            conclusion = check_order(spec.order, model_a, model_b, s.grid)
-        except (InfiniteMeanSuspected, TailError) as exc:
-            conclusion = _undecided(str(exc))
+        hypotheses.append(_hyp_hazard_positive(s))
+    try:
+        conclusion = check_order(spec.order, model_a, model_b, s.grid)
+    except (InfiniteMeanSuspected, TailError) as exc:
+        conclusion = _undecided(str(exc))
     holds = getattr(conclusion, f"holds_{spec.direction}")
     inconclusive = conclusion.inconclusive
     return TheoremReport(
@@ -697,6 +701,21 @@ def verify_example(k: int, grid_points: int | None = None,
 # -- counterexample search -----------------------------------------------------
 
 
+def _asserted_settled(spec: PropositionSpec, s: Scenario) -> bool:
+    """Whether ``check_theorem``'s conclusion on ``s`` holds in ``spec``'s direction or
+    is inconclusive; such a report is consistent whatever its hypotheses say.
+
+    It is decided with the code and bits of that report's verdict: for hr, the
+    survival-ratio criterion of the asserted direction alone; otherwise the order
+    check (the searchable ids are st and hr, so it does not raise).
+    """
+    model_a, model_b = s.model_a(), s.model_b()
+    if spec.order == "hr":
+        return _hr_settled(model_a, model_b, s.grid, spec.direction)
+    verdict = check_order(spec.order, model_a, model_b, s.grid)
+    return getattr(verdict, f"holds_{spec.direction}") or verdict.inconclusive
+
+
 def search_counterexamples(
     theorem_id: str,
     trials: int,
@@ -706,8 +725,11 @@ def search_counterexamples(
 
     Scenarios are drawn by rejection sampling and checked on ``default_grid()``;
     trial k uses the deterministic stream seeded by (seed, k), so runs are
-    reproducible and parallelizable.  An empty result means no counterexample
-    was found, not a proof.
+    reproducible and parallelizable.  Each trial is first decided on the asserted
+    direction alone (for hr, without the hazard cross-check); only a trial where
+    that direction definitively fails gets a full ``check_theorem`` report, since
+    any other report is consistent.  An empty result means no counterexample was
+    found, not a proof.
     """
     if theorem_id not in SEARCHABLE_IDS:
         raise ParameterError(f"theorem id {theorem_id!r} is not searchable; use one of {SEARCHABLE_IDS}")
@@ -721,6 +743,8 @@ def search_counterexamples(
         baseline = make_baseline("exponential", a=rng.uniform(0.2, 3.0))
         omega = rng.uniform(0.05, 0.95)
         scenario = Scenario(baseline, spec.variant, *spec.sampler(rng, omega), grid=grid)
+        if _asserted_settled(spec, scenario):
+            continue
         report = check_theorem(theorem_id, scenario)
         if not report.consistent:
             tag = (

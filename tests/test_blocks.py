@@ -1,7 +1,8 @@
 """The large-array paths give the same results, to the bit, for every block size.
 
-``check_st``, ``check_hr``, ``MixtureModel.sample`` and the CLI's ``curve`` and
-``sample`` output work one block of ``mixture._BLOCK`` points at a time, and
+``check_st``, ``check_hr`` and search's one-direction hr decision, the hr
+propositions' hazard hypothesis, ``MixtureModel.sample`` and the CLI's ``curve``
+and ``sample`` output work one block of ``mixture._BLOCK`` points at a time, and
 draw the sample and form the grid's ``x`` per block.  Each test runs its work
 with the block patched to a small odd size and to one larger than any grid
 here, and compares the reprs, bytes or draws.
@@ -26,8 +27,8 @@ from mixorder import (
 )
 from mixorder.errors import ParameterError
 from mixorder.mixture import CURVE_KINDS, EvaluationGrid
-from mixorder.orders import _check_hr
-from mixorder.theorems import scenario_from_dict
+from mixorder.orders import _hr_settled
+from mixorder.theorems import example_scenario, scenario_from_dict
 from conftest import random_mixture
 
 SMALL = 97
@@ -94,14 +95,34 @@ def test_boundary_grid_puts_the_cut_and_the_worst_step_on_block_boundaries(monke
     assert not large.holds_leq and large.max_violation_geq > large.max_violation_leq
 
 
-def test_hr_reads_each_block_of_a_given_hazard(monkeypatch):
-    _, m1, m2 = PAIRS[0]
-    grid = GRIDS["3_blocks_plus_1"]
-    hazard = np.array(m1.baseline.hazard(grid.x_values))
-    hazard[2 * SMALL + 5] = -1.0  # flips the hazard gap's sign at one point of the third block
-    small, large = at_both_sizes(monkeypatch, lambda: _check_hr(m1, m2, grid, hazard))
+@pytest.mark.parametrize("size", [2, SMALL, 8192, 10**8])
+@pytest.mark.parametrize("grid", GRIDS.values(), ids=GRIDS.keys())
+@pytest.mark.parametrize("name, m1, m2", PAIRS, ids=[p[0] for p in PAIRS])
+def test_hr_decision_matches_the_verdict(monkeypatch, grid, name, m1, m2, size):
+    # search skips a trial on this decision, so it must be the full verdict's, to the bit
+    monkeypatch.setattr(mixture, "_BLOCK", size)
+    v = check_hr(m1, m2, grid)
+    assert _hr_settled(m1, m2, grid, "leq") == (v.holds_leq or v.inconclusive)
+    assert _hr_settled(m1, m2, grid, "geq") == (v.holds_geq or v.inconclusive)
+
+
+@pytest.mark.parametrize("bad, detail", [(-1.0, "min hazard -1.000e+00"), (np.nan, "min hazard nan")])
+def test_hazard_hypothesis_reads_each_block(monkeypatch, bad, detail):
+    tid, s = example_scenario(6, grid_points=3 * SMALL + 1)
+    target = s.grid.x_values[2 * SMALL + 5]  # one point of the third block
+    hazard = Exponential.hazard
+
+    def spoiled(self, x):
+        r = hazard(self, x)
+        r[x == target] = bad
+        return r
+
+    monkeypatch.setattr(Exponential, "hazard", spoiled)
+    small, large = at_both_sizes(monkeypatch, lambda: check_theorem(tid, s))
     assert repr(small) == repr(large)
-    assert large.holds_leq and not large.hazard_holds_leq and large.hazard_disagrees
+    (hyp,) = [h for h in large.hypotheses if h.name == "baseline_hazard_positive"]
+    assert not hyp.satisfied and hyp.detail == detail
+    assert large.conclusion.hazard_disagrees
 
 
 def test_propositions_and_search(monkeypatch):

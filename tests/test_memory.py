@@ -2,8 +2,9 @@
 
 Each test runs a command at two sizes under ``tracemalloc`` (which sees numpy's
 array data) and compares the peaks, so it measures memory, not time.  ``sample``
-holds one block of draws whatever ``--n`` is; ``curve`` and ``check-order --order
-st/hr`` hold the grid's ``t`` (8 bytes a point) and one block.
+holds one block of draws whatever ``--n`` is; ``curve``, ``check-order --order
+st/hr`` and the hr report of ``verify-examples --ids 6`` hold the grid's ``t`` (8
+bytes a point) and one block.
 """
 
 import json
@@ -42,9 +43,11 @@ def test_sample_peak_does_not_grow_with_n(tmp_path, capsys):
 SMALL_GRID, LARGE_GRID = 20_000, 120_000
 
 COMMANDS = {
-    "curve": lambda path, out: ["curve", path, "--which", "hazard", "--out", out],
-    "st": lambda path, out: ["check-order", path, "--order", "st"],
-    "hr": lambda path, out: ["check-order", path, "--order", "hr"],
+    "curve": lambda path, out, points: ["curve", path, "--which", "hazard", "--out", out],
+    "st": lambda path, out, points: ["check-order", path, "--order", "st"],
+    "hr": lambda path, out, points: ["check-order", path, "--order", "hr"],
+    "hr_report": lambda path, out, points: ["verify-examples", "--ids", "6",
+                                            "--grid-points", str(points)],
 }
 
 
@@ -56,7 +59,7 @@ def test_grid_commands_hold_t_and_one_block(tmp_path, capsys, command):
     def on_grid(points):
         path = tmp_path / f"grid{points}.json"
         path.write_text(json.dumps(dict(doc, grid={"points": points})))
-        return lambda: run(COMMANDS[command](str(path), out))
+        return lambda: run(COMMANDS[command](str(path), out, points))
 
     on_grid(2001)()
     small, large = traced_peak(on_grid(SMALL_GRID)), traced_peak(on_grid(LARGE_GRID))

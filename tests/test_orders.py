@@ -213,12 +213,13 @@ class TestSharedKernel:
         check_hr(a, b, grid_default)
         assert calls == {"log_survival": 1, "hazard": 1}
 
-    def test_hr_proposition_evaluates_the_hazard_once(self, monkeypatch):
-        # the baseline_hazard_positive hypothesis and the hr check share one evaluation
+    def test_hr_proposition_evaluates_the_hazard_once_per_block_and_use(self, monkeypatch):
+        # the baseline_hazard_positive hypothesis and the hr check each evaluate the
+        # hazard on one block at a time, so neither holds it on the whole grid
         tid, s = example_scenario(6)
         calls = self.count_baseline_calls(monkeypatch, Exponential)
         report = check_theorem(tid, s)
-        assert calls == {"log_survival": 1, "hazard": 1}
+        assert calls == {"log_survival": 1, "hazard": 2}
         assert report.conclusion.hazard_holds_leq is not None
 
     def test_distinct_baselines_evaluated_per_model(self, monkeypatch, grid_default):

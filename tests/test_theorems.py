@@ -17,6 +17,7 @@ from mixorder import (
     THEOREM_IDS,
     TTransform,
     check_theorem,
+    cli,
     default_grid,
     example_scenario,
     search_counterexamples,
@@ -572,6 +573,45 @@ class TestPropositionTable:
             assert spec.chain in ("2x2", "single", "same", "intermediates")
         assert spec.space in ("K", "L")
         assert (spec.order, spec.direction) in _ASSERTED
+
+
+class TestSearchDecision:
+    """Search builds a report only where the asserted direction definitively fails."""
+
+    @pytest.mark.parametrize("trials, seed", [(60, 77), (200, 1)])
+    @pytest.mark.parametrize("tid", SEARCHABLE_IDS)
+    def test_same_findings_with_the_decision_off(self, monkeypatch, tmp_path, capsys, tid,
+                                                 trials, seed):
+        def search_out():
+            out = tmp_path / "findings.json"
+            argv = ["search", tid, "--trials", str(trials), "--seed", str(seed), "--out", str(out)]
+            assert cli.main(argv) == 0
+            return capsys.readouterr().out, out.read_bytes()
+
+        check, reports = theorems.check_theorem, []
+
+        def counted(*args):
+            reports.append(check(*args))
+            return reports[-1]
+
+        monkeypatch.setattr(theorems, "check_theorem", counted)
+        normal = search_out()
+        # every report a normal run builds is a finding
+        assert len(reports) == len(json.loads(normal[1]))
+
+        settled, decisions = theorems._asserted_settled, []
+
+        def never_skips(spec, s):
+            decisions.append((s, settled(spec, s)))
+            return False
+
+        monkeypatch.setattr(theorems, "_asserted_settled", never_skips)
+        assert search_out() == normal
+        assert len(decisions) == trials
+        direction = PROPOSITIONS[tid].direction
+        for s, decided in decisions:
+            verdict = check(tid, s).conclusion
+            assert decided == (getattr(verdict, f"holds_{direction}") or verdict.inconclusive)
 
 
 class TestFrozenFindings:
