@@ -51,6 +51,17 @@ MALFORMED = [
     (1, ("matrix_a", "theta"), "34", "matrix_a.theta must be an array"),
     (1, ("chain", 0, "permutation"), "10", "chain[0].permutation must be an array"),
     (7, ("group_sizes",), "32", "group_sizes must be an array"),
+    # every object below the document names its unknown and missing keys by path
+    (1, ("baseline", "x"), 1, "unknown key 'x' in baseline"),
+    (1, ("matrix_a", "x"), 1, "unknown key 'x' in matrix_a"),
+    (7, ("matrix_b", "x"), 1, "unknown key 'x' in matrix_b"),
+    (1, ("chain", 0, "x"), 1, "unknown key 'x' in chain[0]"),
+    (1, ("grid",), {"x": 1}, "unknown key 'x' in grid"),
+    (1, ("baseline", "params"), _DELETED, "missing key 'params' in baseline"),
+    (1, ("matrix_a", "p"), _DELETED, "missing key 'p' in matrix_a"),
+    (7, ("matrix_b", "theta"), _DELETED, "missing key 'theta' in matrix_b"),
+    (1, ("chain", 0, "omega"), _DELETED, "missing key 'omega' in chain[0]"),
+    (1, ("chain", 0, "permutation"), _DELETED, "missing key 'permutation' in chain[0]"),
     (1, ("theorem_id",), "T99", "unknown value for key 'theorem_id': 'T99'"),
     (1, ("common_param",), "fast", "malformed scenario value: could not convert"),
     # numbers must be JSON numbers and counts JSON integers, booleans neither
