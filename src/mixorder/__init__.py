@@ -55,7 +55,6 @@ from .theorems import (
     TheoremReport,
     check_theorem,
     example_scenario,
-    model_from_matrix,
     search_counterexamples,
     t7_ratio_monotone,
     verify_example,

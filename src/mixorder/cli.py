@@ -200,21 +200,20 @@ def _parse_ids(raw: str) -> list[int]:
     return ids
 
 
-def _print_text_report(k: int, report: TheoremReport) -> None:
-    print(f"example {k} [{report.theorem_id}]: {report.asserted}")
-    for h in report.hypotheses:
-        mark = "ok " if h.satisfied else "FAIL"
-        print(f"  [{mark}] {h.name}: {h.detail}")
+def _text_report(k: int, report: TheoremReport) -> str:
     c = report.conclusion
     state = ("INCONCLUSIVE: " + c.reason) if report.inconclusive else (
         "holds" if report.conclusion_holds else "FAILS"
     )
-    print(f"  conclusion {state} "
-          f"(viol_leq={c.max_violation_leq:.3g}, viol_geq={c.max_violation_geq:.3g}, "
-          f"witness t={c.witness_t:.6g})")
-    for note in report.notes + c.notes:
-        print(f"  note: {note}")
-    print(f"  consistent: {report.consistent}")
+    return "\n".join([
+        f"example {k} [{report.theorem_id}]: {report.asserted}",
+        *(f"  [{'ok ' if h.satisfied else 'FAIL'}] {h.name}: {h.detail}" for h in report.hypotheses),
+        f"  conclusion {state} "
+        f"(viol_leq={c.max_violation_leq:.3g}, viol_geq={c.max_violation_geq:.3g}, "
+        f"witness t={c.witness_t:.6g})",
+        *(f"  note: {note}" for note in report.notes + c.notes),
+        f"  consistent: {report.consistent}",
+    ])
 
 
 def _cmd_verify_examples(args) -> int:
@@ -231,14 +230,13 @@ def _cmd_verify_examples(args) -> int:
             "all_consistent": all_consistent,
         }
         text = json.dumps(doc, indent=2, sort_keys=True)
-        if args.out:
-            _atomic_write(Path(args.out), [text.encode(), b"\n"])
-            print(f"wrote report to {args.out}")
-        else:
-            print(text)
     else:
-        for k, report in reports.items():
-            _print_text_report(k, report)
+        text = "\n".join(_text_report(k, report) for k, report in reports.items())
+    if args.out:
+        _atomic_write(Path(args.out), [text.encode(), b"\n"])
+        print(f"wrote report to {args.out}")
+    else:
+        print(text)
     return EXIT_OK if all_consistent else EXIT_CONCLUSION
 
 
@@ -319,7 +317,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify-examples", help="run the bundled reference scenarios")
     p.add_argument("--ids", default="all", help="comma-separated ids from 1..7, or 'all'")
     p.add_argument("--format", choices=("text", "json"), default="text")
-    p.add_argument("--out", default=None, help="optional output file for json format")
+    p.add_argument("--out", default=None, help="optional output file for the report")
     p.add_argument("--grid-points", type=int, default=None)
     p.set_defaults(handler=_cmd_verify_examples)
 

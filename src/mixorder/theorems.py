@@ -74,7 +74,6 @@ __all__ = [
     "PROPOSITIONS",
     "THEOREM_IDS",
     "SEARCHABLE_IDS",
-    "model_from_matrix",
     "scenario_from_dict",
     "scenario_to_dict",
     "read_scenario",
@@ -169,25 +168,16 @@ class Scenario:
         return self.matrix_b if self.matrix_b is not None else self._chain_images[-1]
 
     def model_a(self) -> MixtureModel:
-        return model_from_matrix(self.matrix_a, self.variant, self.common_param, self.baseline)
+        return self._model(self.matrix_a)
 
     def model_b(self) -> MixtureModel:
-        return model_from_matrix(
-            self.resolved_matrix_b(), self.variant, self.common_param, self.baseline
-        )
+        return self._model(self.resolved_matrix_b())
 
-
-def model_from_matrix(
-    matrix: ParameterMatrix,
-    variant: str,
-    common_param: float,
-    baseline: BaselineDistribution,
-) -> MixtureModel:
-    """Top row = mixing weights, bottom row = the varying parameter."""
-    pairs = list(zip(matrix.top_row, matrix.bottom_row))
-    if variant == "vary_alpha":
-        return MixtureModel.vary_alpha(baseline, common_param, pairs)
-    return MixtureModel.vary_lambda(baseline, common_param, pairs)
+    def _model(self, matrix: ParameterMatrix) -> MixtureModel:
+        """Top row = mixing weights, bottom row = the varying parameter; ``variant``
+        names the ``MixtureModel`` constructor."""
+        pairs = zip(matrix.top_row, matrix.bottom_row)
+        return getattr(MixtureModel, self.variant)(self.baseline, self.common_param, pairs)
 
 
 def t7_ratio_monotone(
@@ -212,34 +202,22 @@ def t7_ratio_monotone(
 
 # -- scenario documents ----------------------------------------------------------
 
-_SCENARIO_KEYS = {
-    "baseline", "model_variant", "common_param", "matrix_a",
-    "chain", "matrix_b", "grid", "theorem_id", "group_sizes",
+# The one statement of a scenario document's shape.  An object lists its keys: one
+# ending in "?" may be left out, and "*" stands for any key.  A one-item list is an
+# array of that item, float is a JSON number and int a JSON integer; any other value
+# (object) passes through, for the Scenario and make_baseline to check.
+_MATRIX = {"p": [float], "theta": [float]}
+_SHAPE = {
+    "baseline": {"kind": object, "params": {"*": float}},
+    "model_variant": object,
+    "common_param": float,
+    "matrix_a": _MATRIX,
+    "chain?": [{"omega": float, "permutation": [int]}],
+    "matrix_b?": _MATRIX,
+    "grid?": {"points?": int, "t_min?": float, "t_max?": float},
+    "group_sizes?": [int],
+    "theorem_id?": object,
 }
-_REQUIRED_KEYS = ("baseline", "model_variant", "common_param", "matrix_a")
-_MATRIX_KEYS = ("p", "theta")
-_CHAIN_KEYS = ("omega", "permutation")
-_GRID_KEYS = {"points": int, "t_min": float, "t_max": float}
-
-
-def _object(doc, where: str, allowed=None, required=()) -> dict:
-    """``doc`` checked to be a JSON object: keys from ``allowed`` if given, ``required`` present."""
-    if not isinstance(doc, dict):
-        raise ScenarioParseError(f"{where} must be an object")
-    for key in doc:
-        if allowed is not None and key not in allowed:
-            raise ScenarioParseError(f"unknown key {key!r} in {where}")
-    for key in required:
-        if key not in doc:
-            raise ScenarioParseError(f"missing key {key!r} in {where}")
-    return doc
-
-
-def _array(value, where: str) -> list:
-    # tuple() of a string would take its characters as the entries
-    if not isinstance(value, list):
-        raise ScenarioParseError(f"{where} must be an array")
-    return value
 
 
 def _number(value, where: str, kind: type = float):
@@ -256,68 +234,66 @@ def _number(value, where: str, kind: type = float):
         raise ScenarioParseError(f"malformed scenario value: could not convert {where}: {exc}") from exc
 
 
-def _numbers(value, where: str, kind: type = float) -> list:
-    return [_number(v, f"{where}[{i}]", kind) for i, v in enumerate(_array(value, where))]
+def _walk(value, shape, where: str = ""):
+    """``value`` checked against ``shape``, a part of ``_SHAPE``, with its numbers converted.
 
-
-def _parse_matrix(doc, where: str) -> ParameterMatrix:
-    doc = _object(doc, where, _MATRIX_KEYS, _MATRIX_KEYS)
-    return ParameterMatrix(*(_numbers(doc[key], f"{where}.{key}") for key in _MATRIX_KEYS))
+    ``where`` is the path of ``value`` in the document, empty for the document
+    itself; a fault is a ``ScenarioParseError`` that names it.
+    """
+    name = where or "scenario"
+    if isinstance(shape, list):
+        # tuple() of a string would take its characters as the entries
+        if not isinstance(value, list):
+            raise ScenarioParseError(f"{name} must be an array")
+        return [_walk(v, shape[0], f"{where}[{i}]") for i, v in enumerate(value)]
+    if isinstance(shape, dict):
+        if not isinstance(value, dict):
+            raise ScenarioParseError(f"{name} must be an object")
+        keys = {key.rstrip("?"): item for key, item in shape.items()}
+        for key in value:
+            if key not in keys and "*" not in keys:
+                raise ScenarioParseError(f"unknown key {key!r} in {name}")
+        for key in shape:
+            if key[-1] not in "?*" and key not in value:
+                raise ScenarioParseError(f"missing key {key!r} in {name}")
+        return {key: _walk(v, keys.get(key, keys.get("*")), f"{where}.{key}" if where else key)
+                for key, v in value.items()}
+    return _number(value, name, shape) if shape in (float, int) else value
 
 
 def scenario_from_dict(doc: dict, grid_points: int | None = None,
                        grid_points_key: str = "grid points") -> tuple[str | None, Scenario]:
     """The proposition id (or None) and the Scenario of a parsed JSON document.
 
-    Unknown keys are rejected by name, and a value that is not a JSON number (or,
-    for ``grid.points``, ``permutation`` and ``group_sizes``, a JSON integer) by
-    its key.  The grid is ``default_grid`` with what ``grid_points`` and, over
-    it, the document's ``grid`` object pin; a point count that is not a positive
-    integer, or a grid that cannot be allocated, is named ``grid.points`` or,
-    for ``grid_points``, ``grid_points_key``.
+    The document is checked against ``_SHAPE``: unknown keys are rejected by
+    name, and a value that is not a JSON number (or, for ``grid.points``,
+    ``permutation`` and ``group_sizes``, a JSON integer) by its key.  The grid
+    is ``default_grid`` with what ``grid_points`` and, over it, the document's
+    ``grid`` object pin; a point count that is not a positive integer, or a grid
+    that cannot be allocated, is named ``grid.points`` or, for ``grid_points``,
+    ``grid_points_key``.
     """
     try:
-        doc = _object(doc, "scenario", _SCENARIO_KEYS, _REQUIRED_KEYS)
+        doc = _walk(doc, _SHAPE)
         if "chain" not in doc and "matrix_b" not in doc:
             raise ScenarioParseError("scenario needs key 'chain' or key 'matrix_b'")
-
-        baseline_doc = _object(doc["baseline"], "baseline", ("kind", "params"), ("kind", "params"))
-        params = _object(baseline_doc["params"], "baseline.params")
-        params = {key: _number(v, f"baseline.params.{key}") for key, v in params.items()}
-        baseline = make_baseline(baseline_doc["kind"], **params)
-
-        chain = None
-        if "chain" in doc:
-            chain = []
-            for i, entry in enumerate(_array(doc["chain"], "chain")):
-                entry = _object(entry, f"chain[{i}]", _CHAIN_KEYS, _CHAIN_KEYS)
-                permutation = _numbers(entry["permutation"], f"chain[{i}].permutation", int)
-                chain.append(TTransform(_number(entry["omega"], f"chain[{i}].omega"), permutation))
-
-        matrix_b = _parse_matrix(doc["matrix_b"], "matrix_b") if "matrix_b" in doc else None
-        sizes = _numbers(doc["group_sizes"], "group_sizes", int) if "group_sizes" in doc else None
-
-        pins = {} if grid_points is None else {"points": grid_points}
-        points_key = grid_points_key
-        for key, value in _object(doc.get("grid", {}), "grid", _GRID_KEYS).items():
-            pins[key] = _number(value, f"grid.{key}", _GRID_KEYS[key])
-            if key == "points":
-                points_key = "grid.points"
-        grid = default_grid(**pins, what=points_key)
-
         theorem_id = doc.get("theorem_id")
         if theorem_id is not None and theorem_id not in THEOREM_IDS:
             raise ScenarioParseError(f"unknown value for key 'theorem_id': {theorem_id!r}")
-
+        pins = doc.get("grid", {})
+        points_key = "grid.points" if "points" in pins else grid_points_key
+        if grid_points is not None:
+            pins = {"points": grid_points, **pins}
+        a, b = doc["matrix_a"], doc.get("matrix_b")
         return theorem_id, Scenario(
-            baseline=baseline,
+            baseline=make_baseline(doc["baseline"]["kind"], **doc["baseline"]["params"]),
             variant=doc["model_variant"],
-            common_param=_number(doc["common_param"], "common_param"),
-            matrix_a=_parse_matrix(doc["matrix_a"], "matrix_a"),
-            chain=chain,
-            matrix_b=matrix_b,
-            grid=grid,
-            group_sizes=sizes,
+            common_param=doc["common_param"],
+            matrix_a=ParameterMatrix(a["p"], a["theta"]),
+            chain=[TTransform(**t) for t in doc["chain"]] if "chain" in doc else None,
+            matrix_b=ParameterMatrix(b["p"], b["theta"]) if b is not None else None,
+            grid=default_grid(**pins, what=points_key),
+            group_sizes=doc.get("group_sizes"),
         )
     except (TypeError, ValueError) as exc:
         if isinstance(exc, ParameterError):

@@ -371,6 +371,15 @@ class TestVerifyExamples:
         assert code == (0 if doc["all_consistent"] else 1)
         assert out.read_bytes() == (json.dumps(doc, indent=2, sort_keys=True) + "\n").encode()
 
+    def test_text_file_is_the_stdout_text(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setenv("MIXORDER_GRID_POINTS", "301")
+        _, text, _ = run(["verify-examples", "--ids", "1,6"], capsys)
+        out = tmp_path / "r.txt"
+        code, stdout, _ = run(["verify-examples", "--ids", "1,6", "--out", str(out)], capsys)
+        assert code == 0 and stdout == f"wrote report to {out}\n"
+        assert text.startswith("example 1 [T1i]: ") and "\nexample 6 [T5]: " in text
+        assert out.read_bytes() == text.encode()
+
     def test_invalid_grid_env_exit_2(self, capsys, monkeypatch):
         monkeypatch.setenv("MIXORDER_GRID_POINTS", "zero")
         code, _, err = run(["verify-examples", "--ids", "1"], capsys)
