@@ -173,7 +173,7 @@ class PowerBurr(BaselineDistribution):
 _REGISTRY = {cls.kind: cls for cls in (Exponential, PowerBurr)}
 
 
-def make_baseline(kind: str, **params: float) -> BaselineDistribution:
+def make_baseline(kind: str, /, **params: float) -> BaselineDistribution:
     """Construct a registered baseline from its string kind and named parameters.
 
     ``make_baseline("exponential", a=0.2)`` or

@@ -11,8 +11,8 @@ sample           draw seeded variates from a scenario's model A
 Exit codes: 0 success / 1 conclusion failure / 2 usage or parse error /
 3 numerical failure / 4 inconclusive (tail guard or suspected infinite mean).
 
-The environment variable ``MIXORDER_GRID_POINTS`` overrides the resolution of
-``default_grid`` wherever a scenario does not pin one explicitly.
+The environment variable ``MIXORDER_GRID_POINTS`` is the one override of the
+grid size: every command reads it, and a scenario's ``grid.points`` wins over it.
 """
 
 from __future__ import annotations
@@ -60,7 +60,6 @@ from .theorems import (  # scenario_to_dict and bundled_scenario_path are re-exp
     TheoremReport,
     bundled_scenario_path,
     read_scenario,
-    scenario_from_dict,
     scenario_to_dict,
     search_counterexamples,
     verify_example,
@@ -86,16 +85,9 @@ def default_grid_points() -> int | None:
     try:
         points = int(raw)
     except ValueError:
-        points = -1
-    if points < 1:
-        raise ScenarioParseError(f"{_GRID_ENV} must be a positive integer, got {raw!r}")
+        raise ScenarioParseError(f"{_GRID_ENV} must be a positive integer, got {raw!r}") from None
     _require_grid_points(points, _GRID_ENV)
     return points
-
-
-def parse_scenario(doc: dict) -> Scenario:
-    """Build a Scenario from a parsed JSON document; unknown keys are rejected."""
-    return scenario_from_dict(doc, default_grid_points(), _GRID_ENV)[1]
 
 
 def load_scenario(path: str | Path) -> Scenario:
@@ -218,11 +210,7 @@ def _text_report(k: int, report: TheoremReport) -> str:
 
 def _cmd_verify_examples(args) -> int:
     ids = _parse_ids(args.ids)
-    if args.grid_points is not None:
-        points, key = args.grid_points, "--grid-points"
-    else:
-        points, key = default_grid_points(), _GRID_ENV
-    reports = {k: verify_example(k, grid_points=points, grid_points_key=key) for k in ids}
+    reports = {k: verify_example(k, default_grid_points(), _GRID_ENV) for k in ids}
     all_consistent = all(r.consistent for r in reports.values())
     if args.format == "json":
         doc = {
@@ -252,7 +240,7 @@ def _cmd_check_order(args) -> int:
     ):
         print(f"{direction}: {'holds' if holds else 'fails'} "
               f"(max violation {viol:.3g})")
-    print(f"worst violation at t={verdict.witness_t:.6g}")
+    print(f"worst violation at {'p' if args.order == 'lorenz' else 't'}={verdict.witness_t:.6g}")
     if verdict.hazard_holds_leq is not None:
         print(f"hazard cross-check: leq={verdict.hazard_holds_leq} geq={verdict.hazard_holds_geq}"
               + (" (disagrees with ratio test)" if verdict.hazard_disagrees else ""))
@@ -318,7 +306,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--ids", default="all", help="comma-separated ids from 1..7, or 'all'")
     p.add_argument("--format", choices=("text", "json"), default="text")
     p.add_argument("--out", default=None, help="optional output file for the report")
-    p.add_argument("--grid-points", type=int, default=None)
     p.set_defaults(handler=_cmd_verify_examples)
 
     p = sub.add_parser("check-order", help="run one stochastic-order check on a scenario")

@@ -66,7 +66,8 @@ class OrderVerdict:
 
     ``holds_leq`` answers "is m1 <= m2 in this order"; ``holds_geq`` the
     reverse.  Both can be true only when the curves coincide within slack.
-    ``witness_t`` is the t-coordinate of the worst violation found.
+    ``witness_t`` is the t-coordinate of the worst violation found; for the
+    Lorenz order it is the probability level ``p`` instead.
     """
 
     holds_leq: bool

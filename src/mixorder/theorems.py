@@ -186,15 +186,16 @@ def t7_ratio_monotone(
     grid: EvaluationGrid,
 ) -> MonotoneReport:
     """Nonincreasingness of (1 - S**lam) / (x * lam * r(x)) along the grid."""
+
+    def undecided(reason):
+        return MonotoneReport(False, float("nan"), float("nan"), inconclusive=True, reason=reason)
+
     if len(grid) < 2:
-        raise ParameterError("monotonicity needs at least two grid points")
+        return undecided("monotonicity needs at least two grid points")
     x = grid.x_values
     r = np.asarray(baseline.hazard(x), dtype=float)
     if np.any(~np.isfinite(r)) or np.any(r <= 0):
-        return MonotoneReport(
-            nonincreasing=False, max_violation=float("nan"), witness_t=float("nan"),
-            inconclusive=True, reason="baseline hazard not positive and finite on the grid",
-        )
+        return undecided("baseline hazard not positive and finite on the grid")
     ratio = -np.expm1(lam * np.asarray(baseline.log_survival(x))) / (x * lam * r)
     (worst, i), _ = _monotone_max(-ratio)
     return MonotoneReport(worst <= DEFAULT_SLACK, worst, float(grid.t_values[i]))
@@ -284,9 +285,13 @@ def scenario_from_dict(doc: dict, grid_points: int | None = None,
         points_key = "grid.points" if "points" in pins else grid_points_key
         if grid_points is not None:
             pins = {"points": grid_points, **pins}
-        a, b = doc["matrix_a"], doc.get("matrix_b")
+        a, b, baseline = doc["matrix_a"], doc.get("matrix_b"), doc["baseline"]
+        try:  # the registry checks the kind and its parameters, here a document's keys
+            baseline = make_baseline(baseline["kind"], **baseline["params"])
+        except ParameterError as exc:
+            raise ScenarioParseError(str(exc)) from None
         return theorem_id, Scenario(
-            baseline=make_baseline(doc["baseline"]["kind"], **doc["baseline"]["params"]),
+            baseline=baseline,
             variant=doc["model_variant"],
             common_param=doc["common_param"],
             matrix_a=ParameterMatrix(a["p"], a["theta"]),

@@ -71,6 +71,9 @@ MALFORMED = [
     (1, ("common_param",), 10**400, "could not convert common_param: int too large to convert to float"),
     (1, ("chain", 0, "omega"), "0.4", "could not convert chain[0].omega: '0.4' is not a JSON number"),
     (7, ("baseline", "params", "b"), "0.5", "baseline.params.b: '0.5' is not a JSON number"),
+    # a parameter named like make_baseline's own argument is one more unknown parameter
+    (1, ("baseline", "params", "kind"), 1.0,
+     "baseline 'exponential' takes parameters ('a',), got ['a', 'kind']"),
     (1, ("baseline", "params"), [0.2], "baseline.params must be an object"),
     (1, ("grid",), {"points": 301.9}, "could not convert grid.points: 301.9 is not a JSON integer"),
     (1, ("grid",), {"points": True}, "grid.points: True is not a JSON integer"),
@@ -126,9 +129,9 @@ class TestScenarioFiles:
     def test_round_trip(self, k):
         path = cli.bundled_scenario_path(k)
         doc = json.loads(path.read_text())
-        s1 = cli.parse_scenario(doc)
+        s1 = scenario_from_dict(doc)[1]
         doc2 = cli.scenario_to_dict(s1, theorem_id=doc.get("theorem_id"))
-        s2 = cli.parse_scenario(doc2)
+        s2 = scenario_from_dict(doc2)[1]
         assert cli.scenario_to_dict(s2) == cli.scenario_to_dict(s1)
         assert np.array_equal(s1.grid.t_values, s2.grid.t_values)
 
@@ -139,7 +142,7 @@ class TestScenarioFiles:
         with pytest.raises(ParameterError, match="only a uniform grid"):
             cli.scenario_to_dict(s)
         uniform = dataclasses.replace(s, grid=default_grid(292, 0.01, 0.9))
-        back = cli.parse_scenario(cli.scenario_to_dict(uniform))
+        back = scenario_from_dict(cli.scenario_to_dict(uniform))[1]
         assert np.array_equal(back.grid.t_values, uniform.grid.t_values)
 
     @pytest.mark.parametrize("k", range(1, 8))
@@ -159,13 +162,13 @@ class TestScenarioFiles:
         doc = json.loads(cli.bundled_scenario_path(1).read_text())
         doc["extra_knob"] = 1
         with pytest.raises(cli.ScenarioParseError, match="extra_knob"):
-            cli.parse_scenario(doc)
+            scenario_from_dict(doc)
 
     def test_missing_required_key_named(self):
         doc = json.loads(cli.bundled_scenario_path(1).read_text())
         del doc["matrix_a"]
         with pytest.raises(cli.ScenarioParseError, match="matrix_a"):
-            cli.parse_scenario(doc)
+            scenario_from_dict(doc)
 
     @pytest.mark.parametrize("k, path, value, message", MALFORMED, ids=MALFORMED_IDS)
     def test_malformed_document_named(self, k, path, value, message):
@@ -196,20 +199,18 @@ class TestScenarioFiles:
 
     # a count numpy can size but no 64-bit process can map (8 PiB of doubles), so the
     # allocation fails at once whatever the machine's overcommit setting
-    @pytest.mark.parametrize("key", ["grid.points", "MIXORDER_GRID_POINTS", "--grid-points"])
+    @pytest.mark.parametrize("key", ["grid.points", "MIXORDER_GRID_POINTS"])
     def test_grid_the_machine_cannot_allocate_exit_2(self, tmp_path, capsys, monkeypatch, key):
         points = 2**50
         doc = json.loads(cli.bundled_scenario_path(1).read_text())
         if key == "grid.points":
             doc["grid"] = {"points": points}
-        elif key == "MIXORDER_GRID_POINTS":
+        else:
             monkeypatch.setenv(key, str(points))
         scenario = tmp_path / "scenario.json"
         scenario.write_text(json.dumps(doc))
         out = tmp_path / "o.csv"
-        argv = (["verify-examples", "--ids", "1", "--grid-points", str(points)] if key == "--grid-points"
-                else ["curve", str(scenario), "--out", str(out)])
-        code, stdout, err = run(argv, capsys)
+        code, stdout, err = run(["curve", str(scenario), "--out", str(out)], capsys)
         assert code == 2 and stdout == ""
         assert err == (f"error: {key} asks for a grid of {points} points, "
                        f"more than this machine can allocate\n")
@@ -387,10 +388,16 @@ class TestVerifyExamples:
         assert "MIXORDER_GRID_POINTS" in err
 
     @pytest.mark.parametrize("points", ["0", "-3"])
-    def test_nonpositive_grid_points_exit_2(self, capsys, points):
-        code, out, err = run(["verify-examples", "--ids", "1", "--grid-points", points], capsys)
+    def test_nonpositive_grid_points_exit_2(self, capsys, monkeypatch, points):
+        monkeypatch.setenv("MIXORDER_GRID_POINTS", points)
+        code, out, err = run(["verify-examples", "--ids", "1"], capsys)
         assert code == 2
-        assert out == "" and "--grid-points must be a positive integer" in err
+        assert out == "" and "MIXORDER_GRID_POINTS must be a positive integer" in err
+
+    def test_grid_points_flag_is_gone_exit_2(self, capsys):
+        code, out, err = run(["verify-examples", "--grid-points", "301"], capsys)
+        assert (code, out) == (2, "")
+        assert "unrecognized arguments: --grid-points 301" in err
 
     def test_inconclusive_report_writes_nulls(self, tmp_path, capsys, schema, monkeypatch):
         report = TheoremReport(
@@ -448,6 +455,14 @@ class TestCheckOrder:
         assert code == 0
         assert "A <=_st B: holds" in out
         assert "A >=_st B: fails" in out
+
+    def test_lorenz_witness_is_a_level(self, capsys):
+        # check_lorenz compares the curves at probability levels p, not at grid t-values
+        code, out, _ = run(
+            ["check-order", str(cli.bundled_scenario_path(1)), "--order", "lorenz"], capsys
+        )
+        assert code == 0
+        assert out.splitlines()[2] == "worst violation at p=0.837169"
 
     def test_lorenz_heavy_tail_inconclusive(self, capsys):
         code, _, err = run(

@@ -43,23 +43,24 @@ def test_sample_peak_does_not_grow_with_n(tmp_path, capsys):
 SMALL_GRID, LARGE_GRID = 20_000, 120_000
 
 COMMANDS = {
-    "curve": lambda path, out, points: ["curve", path, "--which", "hazard", "--out", out],
-    "st": lambda path, out, points: ["check-order", path, "--order", "st"],
-    "hr": lambda path, out, points: ["check-order", path, "--order", "hr"],
-    "hr_report": lambda path, out, points: ["verify-examples", "--ids", "6",
-                                            "--grid-points", str(points)],
+    "curve": lambda path, out: ["curve", path, "--which", "hazard", "--out", out],
+    "st": lambda path, out: ["check-order", path, "--order", "st"],
+    "hr": lambda path, out: ["check-order", path, "--order", "hr"],
+    "hr_report": lambda path, out: ["verify-examples", "--ids", "6"],
 }
 
 
 @pytest.mark.parametrize("command", COMMANDS)
-def test_grid_commands_hold_t_and_one_block(tmp_path, capsys, command):
+def test_grid_commands_hold_t_and_one_block(tmp_path, capsys, monkeypatch, command):
     doc = json.loads(cli.bundled_scenario_path(5).read_text())
     out = str(tmp_path / "curve.csv")
 
     def on_grid(points):
         path = tmp_path / f"grid{points}.json"
         path.write_text(json.dumps(dict(doc, grid={"points": points})))
-        return lambda: run(COMMANDS[command](str(path), out, points))
+        # the bundled example of verify-examples takes its grid size from the environment
+        monkeypatch.setenv("MIXORDER_GRID_POINTS", str(points))
+        return lambda: run(COMMANDS[command](str(path), out))
 
     on_grid(2001)()
     small, large = traced_peak(on_grid(SMALL_GRID)), traced_peak(on_grid(LARGE_GRID))

@@ -72,6 +72,12 @@ class TestVerifyExamples:
         assert report.conclusion_holds  # the star dominance holds regardless
         assert report.consistent  # failed hypotheses mean no red flag
 
+    def test_example7_on_one_point_is_consistent_and_inconclusive(self):
+        report = verify_example(7, grid_points=1)
+        status = {h.name: h.satisfied for h in report.hypotheses}
+        assert not status["survival_deficit_ratio_nonincreasing"]
+        assert report.inconclusive and report.consistent
+
     def test_reports_are_pure(self):
         tid, s = example_scenario(1)
         assert check_theorem(tid, s) == check_theorem(tid, s)
@@ -388,9 +394,11 @@ class TestRatioMonotone:
         report = t7_ratio_monotone(PowerBurr(0.2, 0.5), 2.5, default_grid(1001))
         assert report.nonincreasing
 
-    def test_single_point_grid_rejected(self):
-        with pytest.raises(ParameterError):
-            t7_ratio_monotone(Exponential(1.0), 1.0, default_grid(1))
+    def test_single_point_grid_is_inconclusive(self):
+        # as check_hr and check_star are on such a grid: undecided, not an error
+        report = t7_ratio_monotone(Exponential(1.0), 1.0, default_grid(1))
+        assert report.inconclusive and not report.nonincreasing
+        assert report.reason == "monotonicity needs at least two grid points"
 
     def test_hazard_underflow_is_inconclusive(self):
         # the hazard a*b*x**(a-1)/(1 + x**a) is about 5e-321/x: 0 at the grid's far end
