@@ -48,10 +48,10 @@ _QUANTILE_W_MIN = -745.0
 _QUANTILE_W_RTOL = 1e-12
 _QUANTILE_MAX_ITER = 200
 _C_FLOOR = -np.finfo(float).max
-# points that the large-array paths (check_st, check_hr, sample, the CLI's curve
-# and sample output) work on at a time, so that their twenty-odd temporaries
-# stay within a few MB instead of growing with the grid; at least 2, so that
-# check_hr's first block holds a ratio step
+# points that the large-array paths (sample, the CLI's curve and sample output)
+# work on at a time, so that their twenty-odd temporaries stay within a few MB
+# instead of growing with the grid; check_st and check_hr take half as many
+# points of each of their two models
 _BLOCK = 8192
 
 CURVE_KINDS = ("survival", "hazard", "density", "cdf")
@@ -125,13 +125,20 @@ class MixtureModel:
 
     # -- evaluation --------------------------------------------------------
 
-    def _terms(self, logs) -> "_Terms":
-        """The kernel: per-component terms at ``logs``, components on axis 0."""
+    def _terms(self, logs, like: "_Terms | None" = None) -> "_Terms":
+        """The kernel: per-component terms at ``logs``, components on axis 0.
+
+        ``like``, another model's kernel at the same ``logs``, lends its power ``c``
+        and ``z = exp(c)`` when the two models share their one ``lam``.
+        """
         logs = np.asarray(logs, dtype=float)
         col = (-1,) + (1,) * logs.ndim
         w, a, lam, wa, wla = (v.reshape(col) for v in self._columns)
-        c = lam * logs
-        z = np.exp(c)
+        if like is not None and lam.size == like.lam.size == 1 and lam.item() == like.lam.item():
+            c, z = like.c, like.z
+        else:
+            c = lam * logs
+            z = np.exp(c)
         return _Terms(w, a, lam, wa, wla, c, z, 1.0 - (1.0 - a) * z)
 
     def survival(self, x):
@@ -289,12 +296,13 @@ def _blocks(n: int, width: int = 1) -> list[slice]:
 
 
 def _require_seed(seed) -> None:
-    if not isinstance(seed, (int, np.integer)) or seed < 0:
+    # bool is an int subclass, but True is not a seed
+    if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)) or seed < 0:
         raise ParameterError(f"seed must be a non-negative integer, got {seed!r}")
 
 
 def _require_count(value, what: str) -> None:
-    if not isinstance(value, (int, np.integer)) or value < 1:
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < 1:
         raise ParameterError(f"{what} must be a positive integer, got {value!r}")
 
 

@@ -105,11 +105,14 @@ def _monotone_max(values: np.ndarray, start: int = 0, best=None, prev=None):
     """``_first_max`` of the falls ``max((v[i] - v[i+1]) / max(1, |v[i]|), 0)`` of
     ``values``, fall i at index ``start + i``, with the earlier blocks' ``best``
     folded in; and ``values[-1:]``, which the next block passes as ``prev`` to add
-    the step across the boundary.  ``values`` with ``prev`` has two or more entries.
+    the step across the boundary.  Fewer than two entries, ``prev`` included, have
+    no fall, and ``best`` passes through.
     """
     if prev is not None:
         values = np.concatenate((prev, values))
         start -= 1
+    if values.size < 2:
+        return best, values[-1:]
     head = values[:-1]
     falls = np.maximum((head - values[1:]) / np.maximum(1.0, np.abs(head)), 0.0)
     return _first_max(falls, start, best), values[-1:]
@@ -134,6 +137,31 @@ def _baseline_pair(m1: MixtureModel, m2: MixtureModel, method: str, x: np.ndarra
     return v1, (v1 if m2.baseline == m1.baseline else getattr(m2.baseline, method)(x))
 
 
+def _pair(m1: MixtureModel, m2: MixtureModel, l1, l2):
+    """Both models' kernels at their baseline ``log s`` values ``l1`` and ``l2`` (the
+    same array for a shared baseline), and their survivals: ``(k1, k2, s1, s2)``.
+
+    Where the pair shares its baseline and its one ``lam``, as every ``vary_alpha``
+    pair does, the second kernel takes the first's power ``z = s**lam``, one ``exp``.
+    """
+    k1 = m1._terms(l1)
+    k2 = m2._terms(l2, k1 if l2 is l1 else None)
+    return k1, k2, k1.survival(), k2.survival()
+
+
+def _pair_pass(m1: MixtureModel, m2: MixtureModel, grid: EvaluationGrid):
+    """``_pair`` on each block of the grid, in order, as ``(start, x, k1, k2, s1, s2)``
+    with ``start`` the grid index of the block's first point.
+
+    A block has ``_BLOCK // 2`` points, so that the pair holds as many values as
+    one model's block of ``_BLOCK`` points would.
+    """
+    for block in _blocks(len(grid), 2):
+        x = _x_of(grid.t_values[block])
+        l1, l2 = _baseline_pair(m1, m2, "log_survival", x)
+        yield (block.start, x, *_pair(m1, m2, l1, l2))
+
+
 def check_st(
     m1: MixtureModel,
     m2: MixtureModel,
@@ -141,14 +169,20 @@ def check_st(
     slack: float = DEFAULT_SLACK,
 ) -> OrderVerdict:
     """Pointwise survival comparison on the grid, one block of points at a time."""
-    leq = geq = None
-    for block in _blocks(len(grid)):
-        l1, l2 = _baseline_pair(m1, m2, "log_survival", _x_of(grid.t_values[block]))
-        s1 = m1._terms(l1).survival()
-        s2 = m2._terms(l2).survival()
-        leq = _first_max(np.maximum(s1 - s2, 0.0), block.start, leq)
-        geq = _first_max(np.maximum(s2 - s1, 0.0), block.start, geq)
-    return _verdict(leq, geq, grid.t_values, slack)
+    worst = _st_scan(_pair_pass(m1, m2, grid), ("leq", "geq"))
+    return _verdict(worst["leq"], worst["geq"], grid.t_values, slack)
+
+
+def _st_scan(blocks, directions):
+    """``check_st``'s worst violation ``(value, index)`` in each of ``directions`` on
+    ``blocks``, the items of a ``_pair_pass``: the first maximum of ``S1 - S2`` for
+    "leq" and of ``S2 - S1`` for "geq", floored at 0."""
+    worst = dict.fromkeys(directions)
+    for start, _, _, _, s1, s2 in blocks:
+        for d in directions:
+            gap = s1 - s2 if d == "leq" else s2 - s1
+            worst[d] = _first_max(np.maximum(gap, 0.0), start, worst[d])
+    return worst
 
 
 def check_hr(
@@ -165,7 +199,13 @@ def check_hr(
     split decision beyond slack.  Grid points past survival underflow are
     dropped and the truncation point recorded.
     """
-    worst, hz, t_cut = _hr_scan(m1, m2, grid, ("leq", "geq"), hazard_slack=slack)
+    t = grid.t_values
+    return _hr_verdict(*_hr_scan(m1, m2, t, _pair_pass(m1, m2, grid), ("leq", "geq"), slack),
+                       t, slack)
+
+
+def _hr_verdict(worst, hz, t_cut, t, slack: float) -> OrderVerdict:
+    """``check_hr``'s verdict from ``_hr_scan``'s result in both directions."""
     if worst is None:
         return _undecided("fewer than two grid points with positive survival", truncated_at_t=t_cut)
     leq, geq = worst["leq"], worst["geq"]
@@ -173,21 +213,38 @@ def check_hr(
     notes = () if t_cut is None else (f"grid truncated at t={t_cut:.6g} (survival underflow)",)
     if disagrees:
         notes += ("ratio and hazard criteria disagree beyond slack",)
-    return _verdict(leq, geq, grid.t_values, slack, hazard_holds_leq=hz["leq"],
-                    hazard_holds_geq=hz["geq"], hazard_disagrees=disagrees,
-                    truncated_at_t=t_cut, notes=notes)
+    return _verdict(leq, geq, t, slack, hazard_holds_leq=hz["leq"], hazard_holds_geq=hz["geq"],
+                    hazard_disagrees=disagrees, truncated_at_t=t_cut, notes=notes)
 
 
-def _hr_settled(m1, m2, grid, direction: str) -> bool:
-    """``check_hr(m1, m2, grid)``'s ``holds_<direction> or inconclusive``, decided from
-    the survival ratio of that one direction, without the hazard cross-check."""
-    worst, _, _ = _hr_scan(m1, m2, grid, (direction,))
-    return worst is None or worst[direction][0] <= DEFAULT_SLACK
+def _asserted_verdict(order: str, direction: str, m1: MixtureModel, m2: MixtureModel,
+                      grid: EvaluationGrid) -> OrderVerdict | None:
+    """``check_<order>(m1, m2, grid)`` for st or hr, or None where its ``direction``
+    holds or the verdict is inconclusive.
+
+    One pair pass serves the whole verdict, and it is kept, which suits search's
+    small grids: ``direction`` alone decides first (for hr, its survival ratio),
+    and only where it fails are the other direction and, for hr, the hazard
+    cross-check added, on the same blocks.
+    """
+    t, blocks = grid.t_values, list(_pair_pass(m1, m2, grid))
+    other = "geq" if direction == "leq" else "leq"
+    if order == "st":
+        worst = _st_scan(blocks, (direction,))
+        if worst[direction][0] <= DEFAULT_SLACK:
+            return None
+        worst |= _st_scan(blocks, (other,))
+        return _verdict(worst["leq"], worst["geq"], t, DEFAULT_SLACK)
+    worst, _, t_cut = _hr_scan(m1, m2, t, blocks, (direction,))
+    if worst is None or worst[direction][0] <= DEFAULT_SLACK:
+        return None
+    rest, hz, _ = _hr_scan(m1, m2, t, blocks, (other,), DEFAULT_SLACK)
+    return _hr_verdict(worst | rest, hz, t_cut, t, DEFAULT_SLACK)
 
 
-def _hr_scan(m1, m2, grid, directions, hazard_slack=None):
-    """``check_hr``'s survival-ratio criterion in each of ``directions``, one block of
-    the grid at a time.
+def _hr_scan(m1, m2, t, blocks, directions, hazard_slack=None):
+    """``check_hr``'s survival-ratio criterion in each of ``directions`` on ``blocks``,
+    the items of ``_pair_pass(m1, m2, grid)``, ``t`` the grid's t values.
 
     Returns ``(worst, hazard_holds, t_cut)``.  ``worst`` maps each direction to the
     ``_monotone_max`` of its ratio (``S2/S1`` for "leq", ``S1/S2`` for "geq"), or is
@@ -200,24 +257,21 @@ def _hr_scan(m1, m2, grid, directions, hazard_slack=None):
     worst, prev = dict.fromkeys(directions), dict.fromkeys(directions)
     hz = {"leq": True, "geq": True}
     t_cut = None
-    for block in _blocks(len(grid)):
-        x = _x_of(grid.t_values[block])
-        l1, l2 = _baseline_pair(m1, m2, "log_survival", x)
-        k1, k2 = m1._terms(l1), m2._terms(l2)
-        s1, s2 = k1.survival(), k2.survival()
+    for start, x, k1, k2, s1, s2 in blocks:
         safe = (s1 >= _SURVIVAL_FLOOR) & (s2 >= _SURVIVAL_FLOOR)
         if not safe.all():
             cut = int(safe.argmin())  # first unsafe index; survival is nonincreasing
-            t_cut = float(grid.t_values[block.start + cut])
-            x, s1, s2 = x[:cut], s1[:cut], s2[:cut]
-            k1, k2 = k1.head(cut), k2.head(cut)
-        if block.start + x.size < 2:  # only the first block can end here
-            return None, hz, t_cut
-        if x.size == 0:  # cut at the block's first point
-            break
+            t_cut = float(t[start + cut])
+            if start + cut < 2:  # fewer than two points before the cut
+                return None, hz, t_cut
+            if cut == 0:  # cut at the block's first point
+                break
+            s1, s2 = s1[:cut], s2[:cut]
+            if hazard_slack is not None:
+                x, k1, k2 = x[:cut], k1.head(cut), k2.head(cut)
         for d in directions:
             num, den = (s2, s1) if d == "leq" else (s1, s2)
-            worst[d], prev[d] = _monotone_max(num / den, block.start, worst[d], prev[d])
+            worst[d], prev[d] = _monotone_max(num / den, start, worst[d], prev[d])
 
         if hazard_slack is not None:
             r1, r2 = _baseline_pair(m1, m2, "hazard", x)
@@ -230,6 +284,8 @@ def _hr_scan(m1, m2, grid, directions, hazard_slack=None):
             hz["geq"] = hz["geq"] and bool(-gap.min() <= hazard_slack)
         if t_cut is not None:
             break
+    if worst[directions[0]] is None:  # a one-point grid
+        return None, hz, t_cut
     return worst, hz, t_cut
 
 

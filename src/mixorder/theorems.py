@@ -59,7 +59,7 @@ from .mixture import (
 from .orders import (
     DEFAULT_SLACK,
     OrderVerdict,
-    _hr_settled,
+    _asserted_verdict,
     _monotone_max,
     _undecided,
     check_order,
@@ -503,7 +503,7 @@ def _sample_k2(rng, omega, common=(0.1, 2.0), params=(0.05, 1.0)):
     c = rng.uniform(*common)
     p1 = rng.uniform(0.05, 0.95)
     while True:
-        v1, v2 = rng.uniform(*params, size=2)
+        v1, v2 = rng.uniform(*params, size=2).tolist()
         if (p1 - (1 - p1)) * (v1 - v2) <= 0:
             break
     return c, ParameterMatrix((p1, 1 - p1), (v1, v2)), (TTransform(omega, (1, 0)),)
@@ -525,12 +525,17 @@ def _sample_balanced_k3(rng, omega):
     """Equal weight*tilt products over three components, one random transform."""
     lam = rng.uniform(0.1, 2.0)
     while True:
-        w = rng.dirichlet(np.ones(3))
-        tilts = rng.uniform(0.2, 0.95) * w.min() / w
-        if np.all((0 < tilts) & (tilts <= 1.0)) and np.all(w > 0.02):
+        # the weights are a Dirichlet(1, 1, 1) draw: rng.dirichlet(np.ones(3)) takes
+        # these three exponentials and scales them by 1 / their sum
+        g = rng.standard_exponential(3).tolist()
+        inv = 1.0 / (g[0] + g[1] + g[2])
+        w = [v * inv for v in g]
+        scale = rng.uniform(0.2, 0.95) * min(w)
+        tilts = [scale / v for v in w]
+        if all(0.0 < a <= 1.0 for a in tilts) and min(w) > 0.02:
             break
     perm = ((1, 0, 2), (0, 2, 1), (2, 1, 0))[int(rng.integers(0, 3))]
-    return lam, ParameterMatrix(tuple(w), tuple(tilts)), (TTransform(omega, perm),)
+    return lam, ParameterMatrix(w, tilts), (TTransform(omega, perm),)
 
 
 # -- the proposition table ---------------------------------------------------------
@@ -634,7 +639,16 @@ def check_theorem(theorem_id: str, s: Scenario) -> TheoremReport:
     if s.variant != spec.variant:
         raise ParameterError(f"{theorem_id} needs a {spec.variant} scenario, got {s.variant}")
     model_a, model_b = s.model_a(), s.model_b()
+    hypotheses = _hypotheses(spec, s, model_a)
+    try:
+        conclusion = check_order(spec.order, model_a, model_b, s.grid)
+    except (InfiniteMeanSuspected, TailError) as exc:
+        conclusion = _undecided(str(exc))
+    return _report(theorem_id, spec, hypotheses, conclusion)
 
+
+def _hypotheses(spec: PropositionSpec, s: Scenario, model_a: MixtureModel) -> list[HypothesisCheck]:
+    """``spec``'s hypotheses evaluated on ``s``, whose model A is ``model_a``."""
     if spec.order in ("star", "lorenz"):
         hypotheses = _hyp_groups(s)
     else:
@@ -643,13 +657,14 @@ def check_theorem(theorem_id: str, s: Scenario) -> TheoremReport:
             hypotheses.append(_hyp_side(model_a, s.grid, spec.variant))
         if spec.balance:
             hypotheses.append(_hyp_products_equal(s))
-
     if spec.order == "hr":
         hypotheses.append(_hyp_hazard_positive(s))
-    try:
-        conclusion = check_order(spec.order, model_a, model_b, s.grid)
-    except (InfiniteMeanSuspected, TailError) as exc:
-        conclusion = _undecided(str(exc))
+    return hypotheses
+
+
+def _report(theorem_id: str, spec: PropositionSpec, hypotheses: list[HypothesisCheck],
+            conclusion: OrderVerdict) -> TheoremReport:
+    """The report of ``hypotheses`` and the order verdict ``conclusion`` on one scenario."""
     holds = getattr(conclusion, f"holds_{spec.direction}")
     inconclusive = conclusion.inconclusive
     return TheoremReport(
@@ -682,19 +697,18 @@ def verify_example(k: int, grid_points: int | None = None,
 # -- counterexample search -----------------------------------------------------
 
 
-def _asserted_settled(spec: PropositionSpec, s: Scenario) -> bool:
-    """Whether ``check_theorem``'s conclusion on ``s`` holds in ``spec``'s direction or
-    is inconclusive; such a report is consistent whatever its hypotheses say.
+def _search_trial(theorem_id: str, spec: PropositionSpec, s: Scenario) -> TheoremReport | None:
+    """``check_theorem(theorem_id, s)``, or None where its asserted direction holds or
+    is inconclusive: such a report is consistent whatever its hypotheses say.
 
-    It is decided with the code and bits of that report's verdict: for hr, the
-    survival-ratio criterion of the asserted direction alone; otherwise the order
-    check (the searchable ids are st and hr, so it does not raise).
+    The trial's one model pair and one pair pass (``orders._asserted_verdict``)
+    decide that direction first and, where it fails, give the report's verdict.
     """
     model_a, model_b = s.model_a(), s.model_b()
-    if spec.order == "hr":
-        return _hr_settled(model_a, model_b, s.grid, spec.direction)
-    verdict = check_order(spec.order, model_a, model_b, s.grid)
-    return getattr(verdict, f"holds_{spec.direction}") or verdict.inconclusive
+    conclusion = _asserted_verdict(spec.order, spec.direction, model_a, model_b, s.grid)
+    if conclusion is None:
+        return None
+    return _report(theorem_id, spec, _hypotheses(spec, s, model_a), conclusion)
 
 
 def search_counterexamples(
@@ -706,11 +720,12 @@ def search_counterexamples(
 
     Scenarios are drawn by rejection sampling and checked on ``default_grid()``;
     trial k uses the deterministic stream seeded by (seed, k), so runs are
-    reproducible and parallelizable.  Each trial is first decided on the asserted
-    direction alone (for hr, without the hazard cross-check); only a trial where
-    that direction definitively fails gets a full ``check_theorem`` report, since
-    any other report is consistent.  An empty result means no counterexample was
-    found, not a proof.
+    reproducible and parallelizable.  A trial builds its model pair once and
+    evaluates both survivals in one pass, on which the asserted direction alone
+    is decided first (for hr, without the hazard cross-check).  Only a trial where
+    that direction definitively fails gets a report, equal to ``check_theorem``'s,
+    since any other report is consistent; it adds the rest of the verdict to the
+    same pass.  An empty result means no counterexample was found, not a proof.
     """
     if theorem_id not in SEARCHABLE_IDS:
         raise ParameterError(f"theorem id {theorem_id!r} is not searchable; use one of {SEARCHABLE_IDS}")
@@ -724,10 +739,8 @@ def search_counterexamples(
         baseline = make_baseline("exponential", a=rng.uniform(0.2, 3.0))
         omega = rng.uniform(0.05, 0.95)
         scenario = Scenario(baseline, spec.variant, *spec.sampler(rng, omega), grid=grid)
-        if _asserted_settled(spec, scenario):
-            continue
-        report = check_theorem(theorem_id, scenario)
-        if not report.consistent:
+        report = _search_trial(theorem_id, spec, scenario)
+        if report is not None and not report.consistent:
             tag = (
                 f"search trial {trial}: baseline exponential(a={scenario.baseline.rate:.6g}), "
                 f"common={scenario.common_param:.6g}, "

@@ -1,6 +1,7 @@
 """The large-array paths give the same results, to the bit, for every block size.
 
-``check_st``, ``check_hr`` and search's one-direction hr decision, the hr
+``check_st`` and ``check_hr`` read both models' survivals from one pair pass
+(``orders._pair_pass``), as search's per-trial verdict does; the hr
 propositions' hazard hypothesis, ``MixtureModel.sample`` and the CLI's ``curve``
 and ``sample`` output work one block of ``mixture._BLOCK`` points at a time, and
 draw the sample and form the grid's ``x`` per block.  Each test runs its work
@@ -16,6 +17,7 @@ import pytest
 from mixorder import (
     Exponential,
     MixtureModel,
+    PowerBurr,
     check_hr,
     check_st,
     check_theorem,
@@ -25,9 +27,11 @@ from mixorder import (
     search_counterexamples,
     verify_example,
 )
+from mixorder import orders, theorems
 from mixorder.errors import ParameterError
+from mixorder.majorization import ParameterMatrix, TTransform
 from mixorder.mixture import CURVE_KINDS, EvaluationGrid
-from mixorder.orders import _hr_settled
+from mixorder.orders import DEFAULT_SLACK, _asserted_verdict, _first_max, _monotone_max
 from mixorder.theorems import example_scenario, scenario_from_dict
 from conftest import random_mixture
 
@@ -95,15 +99,150 @@ def test_boundary_grid_puts_the_cut_and_the_worst_step_on_block_boundaries(monke
     assert not large.holds_leq and large.max_violation_geq > large.max_violation_leq
 
 
-@pytest.mark.parametrize("size", [2, SMALL, 8192, 10**8])
+SIZES = [2, SMALL, 8192, 10**8]
+
+
+@pytest.mark.parametrize("size", SIZES)
 @pytest.mark.parametrize("grid", GRIDS.values(), ids=GRIDS.keys())
 @pytest.mark.parametrize("name, m1, m2", PAIRS, ids=[p[0] for p in PAIRS])
 def test_hr_decision_matches_the_verdict(monkeypatch, grid, name, m1, m2, size):
-    # search skips a trial on this decision, so it must be the full verdict's, to the bit
+    # search skips a trial on this decision and reports the rest of the verdict from the
+    # same pass, so both must be the full verdict's, to the bit
     monkeypatch.setattr(mixture, "_BLOCK", size)
     v = check_hr(m1, m2, grid)
-    assert _hr_settled(m1, m2, grid, "leq") == (v.holds_leq or v.inconclusive)
-    assert _hr_settled(m1, m2, grid, "geq") == (v.holds_geq or v.inconclusive)
+    for direction in ("leq", "geq"):
+        decided = _asserted_verdict("hr", direction, m1, m2, grid)
+        if getattr(v, f"holds_{direction}") or v.inconclusive:
+            assert decided is None
+        else:
+            assert repr(decided) == repr(v)
+
+
+def per_model(m1, m2, grid):
+    """Each model's own survival on the whole grid, and the st and hr verdicts from them
+    and from each model's own hazard: the reference for the pair pass."""
+    x, t = grid.x_values, grid.t_values
+    s1, s2 = m1.survival(x), m2.survival(x)
+    st = orders._verdict(_first_max(np.maximum(s1 - s2, 0.0)),
+                         _first_max(np.maximum(s2 - s1, 0.0)), t, DEFAULT_SLACK)
+    safe = (s1 >= orders._SURVIVAL_FLOOR) & (s2 >= orders._SURVIVAL_FLOOR)
+    n = len(t) if safe.all() else int(safe.argmin())
+    t_cut = float(t[n]) if n < len(t) else None
+    if n < 2:
+        return s1, s2, st, orders._hr_verdict(None, None, t_cut, t, DEFAULT_SLACK)
+    worst = {"leq": _monotone_max(s2[:n] / s1[:n])[0], "geq": _monotone_max(s1[:n] / s2[:n])[0]}
+    h1, h2 = m1.hazard(x[:n]), m2.hazard(x[:n])
+    gap = (h2 - h1) / np.maximum(1.0, np.maximum(np.abs(h1), np.abs(h2)))
+    hz = {"leq": bool(gap.max() <= DEFAULT_SLACK), "geq": bool(-gap.min() <= DEFAULT_SLACK)}
+    return s1, s2, st, orders._hr_verdict(worst, hz, t_cut, t, DEFAULT_SLACK)
+
+
+def pair_kinds():
+    """A shared-lam pair, a vary_lambda pair, a pair of different widths and a pair with
+    different baselines, the pairs the public check_st and check_hr accept, and a
+    vary_alpha pair whose one lam differs."""
+    base = Exponential(1.3)
+    return [
+        ("shared_lam", MixtureModel.vary_alpha(base, 0.4, [(0.6, 0.3), (0.4, 0.6)]),
+         MixtureModel.vary_alpha(base, 0.4, [(0.55, 0.36), (0.45, 0.54)])),
+        ("two_lams", MixtureModel.vary_alpha(base, 0.4, [(0.6, 0.3), (0.4, 0.6)]),
+         MixtureModel.vary_alpha(base, 0.7, [(0.55, 0.36), (0.45, 0.54)])),
+        ("vary_lambda", MixtureModel.vary_lambda(base, 0.5, [(0.4, 0.3), (0.6, 2.0)]),
+         MixtureModel.vary_lambda(base, 0.5, [(0.5, 0.4), (0.5, 1.5)])),
+        ("widths", MixtureModel.vary_alpha(base, 0.4, [(0.6, 0.3), (0.4, 0.6)]),
+         MixtureModel.vary_alpha(base, 0.4, [(0.2, 0.9), (0.3, 0.5), (0.5, 0.2)])),
+        ("baselines", MixtureModel.vary_alpha(base, 0.4, [(0.6, 0.3), (0.4, 0.6)]),
+         MixtureModel.vary_alpha(PowerBurr(1.5, 0.8), 0.4, [(0.6, 0.3), (0.4, 0.6)])),
+    ]
+
+
+KINDS = pair_kinds()
+
+
+@pytest.mark.parametrize("size", SIZES)
+@pytest.mark.parametrize("grid", GRIDS.values(), ids=GRIDS.keys())
+@pytest.mark.parametrize("name, m1, m2", KINDS, ids=[p[0] for p in KINDS])
+def test_pair_pass_matches_the_per_model_path(monkeypatch, grid, name, m1, m2, size):
+    monkeypatch.setattr(mixture, "_BLOCK", size)
+    s1, s2, st, hr = per_model(m1, m2, grid)
+    blocks = list(orders._pair_pass(m1, m2, grid))
+    # the pair holds as many values per block as one model's block of _BLOCK points
+    assert max(b[1].size for b in blocks) == min(len(grid), max(1, size // 2))
+    assert [b[0] for b in blocks] == [b.start for b in mixture._blocks(len(grid), 2)]
+    assert np.concatenate([b[4] for b in blocks]).tobytes() == s1.tobytes()
+    assert np.concatenate([b[5] for b in blocks]).tobytes() == s2.tobytes()
+    assert repr(check_st(m1, m2, grid)) == repr(st)
+    assert repr(check_hr(m1, m2, grid)) == repr(hr)
+    for order, v in (("st", st), ("hr", hr)):
+        for direction in ("leq", "geq"):
+            decided = _asserted_verdict(order, direction, m1, m2, grid)
+            settled = getattr(v, f"holds_{direction}") or v.inconclusive
+            assert repr(decided) == repr(None if settled else v)
+
+
+@pytest.mark.parametrize("name, m1, m2", KINDS, ids=[p[0] for p in KINDS])
+def test_shared_lam_pair_takes_one_power(name, m1, m2):
+    # the second kernel of a vary_alpha pair on one baseline, of any widths, reuses the
+    # first's z = s**lam
+    (_, _, k1, k2, _, _), = orders._pair_pass(m1, m2, default_grid())
+    shared = name in ("shared_lam", "widths")
+    assert (k2.z is k1.z and k2.c is k1.c) == shared
+
+
+# the samplers as they computed on numpy arrays: the reference for their draws
+def array_sample_k2(rng, omega, common=(0.1, 2.0), params=(0.05, 1.0)):
+    c = rng.uniform(*common)
+    p1 = rng.uniform(0.05, 0.95)
+    while True:
+        v1, v2 = rng.uniform(*params, size=2)
+        if (p1 - (1 - p1)) * (v1 - v2) <= 0:
+            break
+    return c, ParameterMatrix((p1, 1 - p1), (v1, v2)), (TTransform(omega, (1, 0)),)
+
+
+def array_sample_balanced_k2(rng, omega):
+    lam = rng.uniform(0.1, 2.0)
+    while True:
+        p1 = rng.uniform(0.05, 0.95)
+        a1 = rng.uniform(0.05, 1.0)
+        a2 = p1 * a1 / (1 - p1)
+        if 0.0 < a2 <= 1.0:
+            break
+    return lam, ParameterMatrix((p1, 1 - p1), (a1, a2)), (TTransform(omega, (1, 0)),)
+
+
+def array_sample_balanced_k3(rng, omega):
+    lam = rng.uniform(0.1, 2.0)
+    while True:
+        w = rng.dirichlet(np.ones(3))
+        tilts = rng.uniform(0.2, 0.95) * w.min() / w
+        if np.all((0 < tilts) & (tilts <= 1.0)) and np.all(w > 0.02):
+            break
+    perm = ((1, 0, 2), (0, 2, 1), (2, 1, 0))[int(rng.integers(0, 3))]
+    return lam, ParameterMatrix(tuple(w), tuple(tilts)), (TTransform(omega, perm),)
+
+
+SAMPLERS = [
+    (theorems._sample_k2, array_sample_k2),
+    (theorems.PROPOSITIONS["T3i"].sampler, lambda rng, omega: array_sample_k2(
+        rng, omega, common=(0.05, 0.95), params=(0.1, 3.0))),
+    (theorems._sample_balanced_k2, array_sample_balanced_k2),
+    (theorems._sample_balanced_k3, array_sample_balanced_k3),
+]
+
+
+@pytest.mark.parametrize("sampler, reference", SAMPLERS, ids=["k2", "k2_lam", "balanced_k2",
+                                                               "balanced_k3"])
+def test_sampler_draws(sampler, reference):
+    # 200 (seed, trial) streams: the same draws, to the bit, and the same stream position
+    for seed, trial in ((seed, trial) for seed in (0, 1, 77, 2**31 - 2) for trial in range(50)):
+        rngs = [np.random.default_rng((seed, trial)) for _ in range(2)]
+        omega = 0.25 + 0.5 * trial / 50
+        got, want = sampler(rngs[0], omega), reference(rngs[1], omega)
+        assert repr(got) == repr(want)
+        assert [float(v).hex() for v in got[1].top_row + got[1].bottom_row + (got[0],)] == \
+            [float(v).hex() for v in want[1].top_row + want[1].bottom_row + (want[0],)]
+        assert rngs[0].bit_generator.state == rngs[1].bit_generator.state
 
 
 @pytest.mark.parametrize("bad, detail", [(-1.0, "min hazard -1.000e+00"), (np.nan, "min hazard nan")])

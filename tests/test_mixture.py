@@ -472,6 +472,14 @@ class TestSample:
             with pytest.raises(ParameterError):
                 m.sample(n, seed=1)
 
+    def test_bool_count_and_seed_rejected(self):
+        # bool is an int subclass: sample(True, 3) drew one value
+        m = degenerate()
+        with pytest.raises(ParameterError, match="^sample count must be a positive integer, got True$"):
+            m.sample(True, 3)
+        with pytest.raises(ParameterError, match="^seed must be a non-negative integer, got False$"):
+            m.sample(3, False)
+
     def test_seed_validated(self):
         m = degenerate()
         for seed in (-1, 1.5, None):
@@ -533,6 +541,12 @@ class TestCurves:
         with pytest.raises(ParameterError) as info:
             default_grid(0)
         assert str(info.value) == "grid points must be a positive integer, got 0"
+
+    def test_bool_grid_points_rejected(self):
+        # default_grid(True) built a one-point grid
+        with pytest.raises(ParameterError) as info:
+            default_grid(True)
+        assert str(info.value) == "grid points must be a positive integer, got True"
 
     def test_grid_points_numpy_cannot_size(self):
         with pytest.raises(ParameterError, match="^grid points is more than numpy can size"):

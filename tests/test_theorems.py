@@ -1,5 +1,8 @@
+import collections
+import dataclasses
 import json
 import re
+import struct
 from dataclasses import replace
 
 import mpmath as mp
@@ -8,6 +11,7 @@ import pytest
 
 from mixorder import (
     Exponential,
+    MixtureModel,
     ParameterError,
     ParameterMatrix,
     PowerBurr,
@@ -25,6 +29,7 @@ from mixorder import (
     theorems,
     verify_example,
 )
+from mixorder.mixture import _Terms
 from mixorder.theorems import _ASSERTED, PROPOSITIONS, bundled_scenario_path, read_scenario
 
 
@@ -426,6 +431,15 @@ class TestSearch:
             with pytest.raises(ParameterError, match="seed must be a non-negative integer"):
                 search_counterexamples("T6", 2, seed=seed)
 
+    def test_bool_trials_and_seed_rejected(self):
+        # search_counterexamples("T5_unconstrained", True, False) ran one trial at seed 0
+        with pytest.raises(ParameterError) as info:
+            search_counterexamples("T5_unconstrained", True, 0)
+        assert str(info.value) == "trials must be a positive integer, got True"
+        with pytest.raises(ParameterError) as info:
+            search_counterexamples("T5_unconstrained", 1, False)
+        assert str(info.value) == "seed must be a non-negative integer, got False"
+
     def test_validated_claims_produce_no_findings(self):
         for tid in ("T1i", "T3i", "T5"):
             assert search_counterexamples(tid, 50, seed=99) == []
@@ -583,43 +597,74 @@ class TestPropositionTable:
         assert (spec.order, spec.direction) in _ASSERTED
 
 
+def _bits(value):
+    """``value`` with every float, in nested dataclasses and tuples, as its bytes."""
+    if dataclasses.is_dataclass(value):
+        return type(value).__name__, _bits(dataclasses.astuple(value))
+    if isinstance(value, (tuple, list)):
+        return tuple(_bits(v) for v in value)
+    if isinstance(value, float):
+        return struct.pack("<d", value)
+    return value
+
+
 class TestSearchDecision:
-    """Search builds a report only where the asserted direction definitively fails."""
+    """Search builds a report only where the asserted direction definitively fails, from
+    the trial's one model pair and one pair pass."""
 
     @pytest.mark.parametrize("trials, seed", [(60, 77), (200, 1)])
     @pytest.mark.parametrize("tid", SEARCHABLE_IDS)
     def test_same_findings_with_the_decision_off(self, monkeypatch, tmp_path, capsys, tid,
                                                  trials, seed):
+        # each trial's decision and report are those of a fresh check_theorem, bit for
+        # bit, and reporting every trial with check_theorem itself writes the same bytes
         def search_out():
             out = tmp_path / "findings.json"
             argv = ["search", tid, "--trials", str(trials), "--seed", str(seed), "--out", str(out)]
             assert cli.main(argv) == 0
             return capsys.readouterr().out, out.read_bytes()
 
-        check, reports = theorems.check_theorem, []
+        trial, outcomes = theorems._search_trial, []
 
-        def counted(*args):
-            reports.append(check(*args))
-            return reports[-1]
+        def recorded(theorem_id, spec, s):
+            outcomes.append((s, trial(theorem_id, spec, s)))
+            return outcomes[-1][1]
 
-        monkeypatch.setattr(theorems, "check_theorem", counted)
+        monkeypatch.setattr(theorems, "_search_trial", recorded)
         normal = search_out()
-        # every report a normal run builds is a finding
-        assert len(reports) == len(json.loads(normal[1]))
-
-        settled, decisions = theorems._asserted_settled, []
-
-        def never_skips(spec, s):
-            decisions.append((s, settled(spec, s)))
-            return False
-
-        monkeypatch.setattr(theorems, "_asserted_settled", never_skips)
-        assert search_out() == normal
-        assert len(decisions) == trials
+        assert len(outcomes) == trials
         direction = PROPOSITIONS[tid].direction
-        for s, decided in decisions:
-            verdict = check(tid, s).conclusion
-            assert decided == (getattr(verdict, f"holds_{direction}") or verdict.inconclusive)
+        for s, report in outcomes:
+            fresh = check_theorem(tid, s)
+            settled = getattr(fresh.conclusion, f"holds_{direction}") or fresh.inconclusive
+            assert (report is None) == settled
+            if report is not None:
+                assert report == fresh and _bits(report) == _bits(fresh)
+        # every trial reported by check_theorem itself: the same findings, to the byte
+        monkeypatch.setattr(theorems, "_search_trial", lambda theorem_id, spec, s: check_theorem(
+            theorem_id, s))
+        assert search_out() == normal
+
+    @pytest.mark.parametrize("tid", ["T1i", "T3i", "T5_unconstrained", "T6"])
+    def test_one_model_pair_and_one_pass_per_trial(self, monkeypatch, tid):
+        # found or not, a trial builds two models, evaluates the baseline's log
+        # survival once and each model's survival once on the 2001-point grid
+        calls = collections.Counter()
+
+        def counted(name, original):
+            def wrapper(*args):
+                calls[name] += 1
+                return original(*args)
+            return wrapper
+
+        monkeypatch.setattr(MixtureModel, "__post_init__",
+                            counted("models", MixtureModel.__post_init__))
+        monkeypatch.setattr(_Terms, "survival", counted("survivals", _Terms.survival))
+        monkeypatch.setattr(Exponential, "log_survival",
+                            counted("log_survival", Exponential.log_survival))
+        findings = search_counterexamples(tid, 60, 77)
+        assert calls == {"models": 120, "survivals": 120, "log_survival": 60}
+        assert len(findings) == len(TestFrozenFindings.FINDINGS[tid])
 
 
 class TestFrozenFindings:
