@@ -51,7 +51,7 @@ _C_FLOOR = -np.finfo(float).max
 # points that the large-array paths (sample, the CLI's curve and sample output)
 # work on at a time, so that their twenty-odd temporaries stay within a few MB
 # instead of growing with the grid; check_st and check_hr take half as many
-# points of each of their two models
+# points, and at least two, of each of their two models
 _BLOCK = 8192
 
 CURVE_KINDS = ("survival", "hazard", "density", "cdf")

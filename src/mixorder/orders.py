@@ -22,6 +22,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import mixture
 from .baseline import BaselineDistribution
 from .errors import (
     DomainError,
@@ -29,7 +30,7 @@ from .errors import (
     ParameterError,
     TailError,
 )
-from .mixture import EvaluationGrid, MixtureModel, _blocks, _x_of
+from .mixture import EvaluationGrid, MixtureModel, _x_of
 
 __all__ = [
     "OrderVerdict",
@@ -105,14 +106,11 @@ def _monotone_max(values: np.ndarray, start: int = 0, best=None, prev=None):
     """``_first_max`` of the falls ``max((v[i] - v[i+1]) / max(1, |v[i]|), 0)`` of
     ``values``, fall i at index ``start + i``, with the earlier blocks' ``best``
     folded in; and ``values[-1:]``, which the next block passes as ``prev`` to add
-    the step across the boundary.  Fewer than two entries, ``prev`` included, have
-    no fall, and ``best`` passes through.
+    the step across the boundary.  ``values`` with ``prev`` has two or more entries.
     """
     if prev is not None:
         values = np.concatenate((prev, values))
         start -= 1
-    if values.size < 2:
-        return best, values[-1:]
     head = values[:-1]
     falls = np.maximum((head - values[1:]) / np.maximum(1.0, np.abs(head)), 0.0)
     return _first_max(falls, start, best), values[-1:]
@@ -154,12 +152,14 @@ def _pair_pass(m1: MixtureModel, m2: MixtureModel, grid: EvaluationGrid):
     with ``start`` the grid index of the block's first point.
 
     A block has ``_BLOCK // 2`` points, so that the pair holds as many values as
-    one model's block of ``_BLOCK`` points would.
+    one model's block of ``_BLOCK`` points would, and at least two, so that only a
+    one-point grid has no ratio step in its first block.
     """
-    for block in _blocks(len(grid), 2):
-        x = _x_of(grid.t_values[block])
+    step = max(2, mixture._BLOCK // 2)
+    for start in range(0, len(grid), step):
+        x = _x_of(grid.t_values[start:start + step])
         l1, l2 = _baseline_pair(m1, m2, "log_survival", x)
-        yield (block.start, x, *_pair(m1, m2, l1, l2))
+        yield (start, x, *_pair(m1, m2, l1, l2))
 
 
 def check_st(
@@ -169,20 +169,11 @@ def check_st(
     slack: float = DEFAULT_SLACK,
 ) -> OrderVerdict:
     """Pointwise survival comparison on the grid, one block of points at a time."""
-    worst = _st_scan(_pair_pass(m1, m2, grid), ("leq", "geq"))
-    return _verdict(worst["leq"], worst["geq"], grid.t_values, slack)
-
-
-def _st_scan(blocks, directions):
-    """``check_st``'s worst violation ``(value, index)`` in each of ``directions`` on
-    ``blocks``, the items of a ``_pair_pass``: the first maximum of ``S1 - S2`` for
-    "leq" and of ``S2 - S1`` for "geq", floored at 0."""
-    worst = dict.fromkeys(directions)
-    for start, _, _, _, s1, s2 in blocks:
-        for d in directions:
-            gap = s1 - s2 if d == "leq" else s2 - s1
-            worst[d] = _first_max(np.maximum(gap, 0.0), start, worst[d])
-    return worst
+    leq = geq = None
+    for start, _, _, _, s1, s2 in _pair_pass(m1, m2, grid):
+        leq = _first_max(np.maximum(s1 - s2, 0.0), start, leq)
+        geq = _first_max(np.maximum(s2 - s1, 0.0), start, geq)
+    return _verdict(leq, geq, grid.t_values, slack)
 
 
 def check_hr(
@@ -222,19 +213,16 @@ def _asserted_verdict(order: str, direction: str, m1: MixtureModel, m2: MixtureM
     """``check_<order>(m1, m2, grid)`` for st or hr, or None where its ``direction``
     holds or the verdict is inconclusive.
 
-    One pair pass serves the whole verdict, and it is kept, which suits search's
-    small grids: ``direction`` alone decides first (for hr, its survival ratio),
-    and only where it fails are the other direction and, for hr, the hazard
-    cross-check added, on the same blocks.
+    st is ``check_st`` itself.  For hr, one pair pass serves the whole verdict, and
+    it is kept, which suits search's small grids: the survival ratio of ``direction``
+    alone decides first, and only where it fails are the other direction and the
+    hazard cross-check added, on the same blocks.
     """
+    if order == "st":
+        verdict = check_st(m1, m2, grid)
+        return None if getattr(verdict, f"holds_{direction}") or verdict.inconclusive else verdict
     t, blocks = grid.t_values, list(_pair_pass(m1, m2, grid))
     other = "geq" if direction == "leq" else "leq"
-    if order == "st":
-        worst = _st_scan(blocks, (direction,))
-        if worst[direction][0] <= DEFAULT_SLACK:
-            return None
-        worst |= _st_scan(blocks, (other,))
-        return _verdict(worst["leq"], worst["geq"], t, DEFAULT_SLACK)
     worst, _, t_cut = _hr_scan(m1, m2, t, blocks, (direction,))
     if worst is None or worst[direction][0] <= DEFAULT_SLACK:
         return None
@@ -262,13 +250,13 @@ def _hr_scan(m1, m2, t, blocks, directions, hazard_slack=None):
         if not safe.all():
             cut = int(safe.argmin())  # first unsafe index; survival is nonincreasing
             t_cut = float(t[start + cut])
-            if start + cut < 2:  # fewer than two points before the cut
-                return None, hz, t_cut
-            if cut == 0:  # cut at the block's first point
-                break
             s1, s2 = s1[:cut], s2[:cut]
             if hazard_slack is not None:
                 x, k1, k2 = x[:cut], k1.head(cut), k2.head(cut)
+        if start + s1.size < 2:  # only the first block can end here
+            return None, hz, t_cut
+        if s1.size == 0:  # cut at the block's first point
+            break
         for d in directions:
             num, den = (s2, s1) if d == "leq" else (s1, s2)
             worst[d], prev[d] = _monotone_max(num / den, start, worst[d], prev[d])
@@ -284,8 +272,6 @@ def _hr_scan(m1, m2, t, blocks, directions, hazard_slack=None):
             hz["geq"] = hz["geq"] and bool(-gap.min() <= hazard_slack)
         if t_cut is not None:
             break
-    if worst[directions[0]] is None:  # a one-point grid
-        return None, hz, t_cut
     return worst, hz, t_cut
 
 

@@ -701,8 +701,8 @@ def _search_trial(theorem_id: str, spec: PropositionSpec, s: Scenario) -> Theore
     """``check_theorem(theorem_id, s)``, or None where its asserted direction holds or
     is inconclusive: such a report is consistent whatever its hypotheses say.
 
-    The trial's one model pair and one pair pass (``orders._asserted_verdict``)
-    decide that direction first and, where it fails, give the report's verdict.
+    The trial's one model pair gives ``orders._asserted_verdict``, whose one pass
+    decides that direction and, where it fails, gives the report's verdict.
     """
     model_a, model_b = s.model_a(), s.model_b()
     conclusion = _asserted_verdict(spec.order, spec.direction, model_a, model_b, s.grid)
@@ -721,11 +721,12 @@ def search_counterexamples(
     Scenarios are drawn by rejection sampling and checked on ``default_grid()``;
     trial k uses the deterministic stream seeded by (seed, k), so runs are
     reproducible and parallelizable.  A trial builds its model pair once and
-    evaluates both survivals in one pass, on which the asserted direction alone
-    is decided first (for hr, without the hazard cross-check).  Only a trial where
-    that direction definitively fails gets a report, equal to ``check_theorem``'s,
-    since any other report is consistent; it adds the rest of the verdict to the
-    same pass.  An empty result means no counterexample was found, not a proof.
+    evaluates both survivals in one pass.  An st trial is decided on ``check_st``'s
+    verdict; an hr trial first on the asserted direction's survival ratio alone,
+    without the hazard cross-check.  Only a trial where that direction definitively
+    fails gets a report, equal to ``check_theorem``'s, since any other report is
+    consistent; for hr it adds the rest of the verdict to the same pass.  An empty
+    result means no counterexample was found, not a proof.
     """
     if theorem_id not in SEARCHABLE_IDS:
         raise ParameterError(f"theorem id {theorem_id!r} is not searchable; use one of {SEARCHABLE_IDS}")

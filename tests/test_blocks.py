@@ -166,9 +166,11 @@ def test_pair_pass_matches_the_per_model_path(monkeypatch, grid, name, m1, m2, s
     monkeypatch.setattr(mixture, "_BLOCK", size)
     s1, s2, st, hr = per_model(m1, m2, grid)
     blocks = list(orders._pair_pass(m1, m2, grid))
-    # the pair holds as many values per block as one model's block of _BLOCK points
-    assert max(b[1].size for b in blocks) == min(len(grid), max(1, size // 2))
-    assert [b[0] for b in blocks] == [b.start for b in mixture._blocks(len(grid), 2)]
+    # the pair holds as many values per block as one model's block of _BLOCK points, and
+    # a block has at least two points
+    step = max(2, size // 2)
+    assert max(b[1].size for b in blocks) == min(len(grid), step)
+    assert [b[0] for b in blocks] == list(range(0, len(grid), step))
     assert np.concatenate([b[4] for b in blocks]).tobytes() == s1.tobytes()
     assert np.concatenate([b[5] for b in blocks]).tobytes() == s2.tobytes()
     assert repr(check_st(m1, m2, grid)) == repr(st)
