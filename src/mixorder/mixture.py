@@ -125,17 +125,22 @@ class MixtureModel:
 
     # -- evaluation --------------------------------------------------------
 
-    def _terms(self, logs, like: "_Terms | None" = None) -> "_Terms":
+    def _shares_power(self, other: "MixtureModel") -> bool:
+        """Whether the two models share their one ``lam``, and so ``z = s**lam``."""
+        lam, other_lam = self._columns[2], other._columns[2]
+        return lam.size == other_lam.size == 1 and lam[0] == other_lam[0]
+
+    def _terms(self, logs, power: "tuple[np.ndarray, np.ndarray] | None" = None) -> "_Terms":
         """The kernel: per-component terms at ``logs``, components on axis 0.
 
-        ``like``, another model's kernel at the same ``logs``, lends its power ``c``
-        and ``z = exp(c)`` when the two models share their one ``lam``.
+        ``power``, the ``(c, z = exp(c))`` at the same ``logs`` of a model that shares
+        this one's ``lam`` (``_shares_power``), is taken instead of computed.
         """
         logs = np.asarray(logs, dtype=float)
         col = (-1,) + (1,) * logs.ndim
         w, a, lam, wa, wla = (v.reshape(col) for v in self._columns)
-        if like is not None and lam.size == like.lam.size == 1 and lam.item() == like.lam.item():
-            c, z = like.c, like.z
+        if power is not None:
+            c, z = power
         else:
             c = lam * logs
             z = np.exp(c)
@@ -167,9 +172,10 @@ class MixtureModel:
         ``log1p(-u) - log G`` above; a step that leaves the bracket becomes a
         bisection.  A level stops, and leaves the working arrays, once its step
         is at most ``1e-12 * max(1, |w|)``, so every level follows the same
-        iterations, to the bit, as in a scalar call (``check_star`` starts them
-        from its cdf table instead).  ``w`` maps back through the baseline's
-        ``inverse_log_survival`` and is clipped to ``(e^-745, 1e18]``.
+        iterations, to the bit, as in a scalar call.  (``check_star`` starts its
+        levels from a cdf table instead, and they also stop on Newton's error
+        bound, see ``_solve_log_log_survival``.)  ``w`` maps back through the
+        baseline's ``inverse_log_survival`` and is clipped to ``(e^-745, 1e18]``.
 
         A scalar (or 0-d) level returns a ``float``; an array returns an array
         of the same shape.  Raises ``DomainError`` for levels outside (0, 1) or
@@ -177,10 +183,13 @@ class MixtureModel:
         ``cdf(1e18)``.
         """
         slope = sum(p * l / a for p, a, l in zip(self.weights, self.alphas, self.lams))
-        return self._quantile(u, lambda v: np.log(-np.log1p(-v) / slope))
+        return self._quantile(u, lambda u, log_u, log1m_u: np.log(-log1m_u / slope))
 
     def _quantile(self, u, start):
-        """``quantile`` with the Newton start ``w0 = start(v)`` for the flattened levels ``v``."""
+        """``quantile`` with the Newton start ``w0 = start(u, log u, log1p(-u))`` for the
+        flattened levels ``u``, whose two logs are computed once for the start and the
+        solver's targets.  A start marked ``near``, as ``_table_start``'s are, lets the
+        solver stop a level on Newton's error bound."""
         levels = np.asarray(u, dtype=float)
         bad = ~((levels > 0.0) & (levels < 1.0))
         if np.any(bad):
@@ -195,8 +204,12 @@ class MixtureModel:
                 f"cdf({_QUANTILE_X_MAX:g}) = {u_max!r}"
             )
         flat = levels.reshape(-1)
+        log_u, log1m_u = np.log(flat), np.log1p(-flat)
+        upper = flat > 0.5
         w_max = math.log(-logs_max)
-        w = self._solve_log_log_survival(flat, np.clip(start(flat), _QUANTILE_W_MIN, w_max), w_max)
+        w0 = np.clip(start(flat, log_u, log1m_u), _QUANTILE_W_MIN, w_max)
+        w = self._solve_log_log_survival(upper, np.where(upper, log1m_u, log_u), w0, w_max,
+                                         getattr(start, "near", False))
         x = self.baseline.inverse_log_survival(-np.exp(w))
         x = np.clip(x, _QUANTILE_X_MIN, _QUANTILE_X_MAX)
         return float(x[0]) if levels.ndim == 0 else x.reshape(levels.shape)
@@ -214,39 +227,64 @@ class MixtureModel:
         points give ``w = log(-log s)`` linear in ``log u`` for ``u <= 1/2`` and
         ``-log s`` linear in ``-log(1 - u)`` above, where the mixture is nearly
         linear; past the far ends it follows ``u ~ e^w`` and ``1 - u ~ s^min(lam)``.
+        Such a start lies within about one grid cell of its root, so it is marked
+        ``near``: its levels stop on Newton's error bound.
         """
-        def start(u):
-            lc, hc, lam = np.log(cdf), -np.log1p(-cdf), min(self.lams)
-            lu, hu = np.log(u), -np.log1p(-u)
-            low = np.interp(lu, lc, np.log(-logs) - lc) + lu
-            high = (np.interp(hu, hc, -lam * logs - hc) + np.maximum(hu, hc[0])) / lam
-            return np.where(u <= 0.5, low, np.log(high))
+        def start(u, log_u, log1m_u):
+            def low():
+                lc = np.log(cdf)
+                return np.interp(log_u, lc, np.log(-logs) - lc) + log_u
+
+            def high():
+                hu, hc, lam = -log1m_u, -np.log1p(-cdf), min(self.lams)
+                return np.log((np.interp(hu, hc, -lam * logs - hc) + np.maximum(hu, hc[0])) / lam)
+
+            return _by_side(u > 0.5, high, low)
+        start.near = True
         return start
 
-    def _solve_log_log_survival(self, u: np.ndarray, w: np.ndarray, w_max: float) -> np.ndarray:
-        """``w = log(-log s)`` with ``1 - G(s) = u`` for each level of the 1-d ``u``, from ``w``."""
-        upper = u > 0.5
-        target = np.where(upper, np.log1p(-u), np.log(u))
-        lo = np.full(u.shape, _QUANTILE_W_MIN)
-        hi = np.full(u.shape, w_max)
-        out = np.empty(u.shape)
-        todo = np.arange(u.size)
+    def _solve_log_log_survival(self, upper: np.ndarray, target: np.ndarray, w: np.ndarray,
+                                w_max: float, near: bool) -> np.ndarray:
+        """``w = log(-log s)`` with ``log G(s) = target`` where ``upper`` and ``log(1 - G(s))
+        = target`` elsewhere, for each level of the 1-d arrays, from ``w``.
+
+        A level stops once its step is at most ``1e-12 * max(1, |w|)``.  From a
+        ``near`` start, within Newton's quadratic reach, it also stops after the
+        first Newton step whose predicted remaining error ``K * step**2`` is at most
+        a tenth of that (``_settled``), instead of evaluating the kernel once more
+        to confirm it; the two stops differ by about that error.
+        """
+        # bounds |D2/D1| = |sum_i q_i lam_i (2 - m_i) / m_i| / sum_i q_i, q_i >= 0, over
+        # m_i in [min(1, a_i), max(1, a_i)]
+        ratio_bound = max(self.lams) * max(1.0, 2.0 / min(self.alphas) - 1.0)
+        lo = np.full(w.shape, _QUANTILE_W_MIN)
+        hi = np.full(w.shape, w_max)
+        out = np.empty(w.shape)
+        todo = np.arange(w.size)
         # log(0) and 0 * inf where a level's kernel under- or overflows make the
         # Newton step non-finite; such a step is replaced by a bisection
         with np.errstate(divide="ignore", invalid="ignore"):
             for _ in range(_QUANTILE_MAX_ITER):
                 ew = np.exp(w)
                 t = self._terms(-ew)
-                tail = np.where(upper, t.survival(), t.cdf())
-                g = np.where(upper, target - np.log(tail), np.log(tail) - target)
+                tail = _by_side(upper, t.survival, t.cdf)
+                # log F - log u below 1/2 and log1p(-u) - log G above both rise with w
+                g = np.log(tail) - target
+                g = np.where(upper, -g, g)
                 low = g < 0.0
                 lo = np.where(low, w, lo)
                 hi = np.where(low, hi, w)
                 # dg/dw = e^w * (dG/dlog s) / tail on both sides
-                step = -g * tail / (t.density(1.0) * ew)
+                slope = t.density(1.0) * ew
+                step = -g * tail / slope
                 new = w + step
-                new = np.where((new >= lo) & (new <= hi), new, 0.5 * (lo + hi))
-                done = np.abs(new - w) <= _QUANTILE_W_RTOL * np.maximum(1.0, np.abs(w))
+                inside = (new >= lo) & (new <= hi)
+                new = np.where(inside, new, 0.5 * (lo + hi))
+                tol = _QUANTILE_W_RTOL * np.maximum(1.0, np.abs(w))
+                done = np.abs(new - w) <= tol
+                if near and not done.all():
+                    done |= inside & _settled(t, ew, slope, tail, upper, step * step, 0.2 * tol,
+                                              ratio_bound)
                 out[todo[done]] = new[done]
                 go = ~done
                 if not np.any(go):
@@ -286,6 +324,35 @@ class MixtureModel:
             a, lam = alphas[idx], lams[idx]
             draws[sub] = self.baseline.inverse_survival((v / (a + v * (1.0 - a))) ** (1.0 / lam))
         return draws
+
+
+def _by_side(upper: np.ndarray, high, low) -> np.ndarray:
+    """``np.where(upper, high(), low())``, calling only ``high`` or ``low`` where every level
+    is on one side."""
+    n = np.count_nonzero(upper)
+    if n == upper.size:
+        return high()
+    return np.where(upper, high(), low()) if n else low()
+
+
+def _settled(t: "_Terms", ew, slope, tail, upper, sq, tol, ratio_bound):
+    """Where ``2 K sq <= tol``: Newton's predicted error ``K * sq`` after a step of square
+    ``sq`` (Ortega & Rheinboldt, 1970) is within half of ``tol``.
+
+    ``t`` is the kernel at ``w`` and ``ew = e^w``.  With ``D1 = dG/dlog s`` (``slope =
+    e^w D1``), ``D2 = dD1/dlog s`` and ``g' = slope / tail``, ``K = |g''/2g'| = |1 - e^w
+    D2/D1 -+ g'| / 2``, ``-`` for the cdf levels and ``+`` for the ``upper`` (survival)
+    ones.  ``ratio_bound`` bounds ``|D2/D1|``, so ``D2`` is computed only at the levels
+    that the bound ``2K <= 1 + e^w ratio_bound + g'`` leaves unsettled.
+    """
+    gp = slope / tail
+    settled = (1.0 + ew * ratio_bound + gp) * sq <= tol
+    rest = np.flatnonzero(~settled)
+    if rest.size:
+        ew, slope, gp, sq, tol = (v[rest] for v in (ew, slope, gp, sq, tol))
+        k2 = np.abs(1.0 - ew * ew * t.density_slope(rest) / slope + np.where(upper[rest], gp, -gp))
+        settled[rest] = k2 * sq <= tol
+    return settled
 
 
 def _blocks(n: int, width: int = 1) -> list[slice]:
@@ -346,6 +413,12 @@ class _Terms(NamedTuple):
     def cdf(self):
         """``1 - survival`` as ``sum_i w_i (1 - z_i) / m_i``, free of cancellation near s = 1."""
         return _sum_rows(self.w * -np.expm1(self.c) / self.m)
+
+    def density_slope(self, index):
+        """``d density(1.0) / dlog s``, ``sum_i w_i lam_i^2 a_i z_i (1 + (1 - a_i) z_i) / m_i**3``,
+        at the levels ``index`` of a one-dimensional level array."""
+        z, m = self.z.take(index, axis=1), self.m.take(index, axis=1)
+        return _sum_rows(self.wla * self.lam * z * (2.0 - m) / (m * m * m))
 
     def density(self, r):
         """Mixture density, given the baseline hazard ``r`` at the same points."""

@@ -135,19 +135,26 @@ def _baseline_pair(m1: MixtureModel, m2: MixtureModel, method: str, x: np.ndarra
     return v1, (v1 if m2.baseline == m1.baseline else getattr(m2.baseline, method)(x))
 
 
-def _pair(m1: MixtureModel, m2: MixtureModel, l1, l2):
+def _pair(m1: MixtureModel, m2: MixtureModel, l1, l2, kernels: bool = True):
     """Both models' kernels at their baseline ``log s`` values ``l1`` and ``l2`` (the
     same array for a shared baseline), and their survivals: ``(k1, k2, s1, s2)``.
 
     Where the pair shares its baseline and its one ``lam``, as every ``vary_alpha``
     pair does, the second kernel takes the first's power ``z = s**lam``, one ``exp``.
+    Without ``kernels``, for a caller that reads only the survivals, the kernels come
+    back as None, and the first is freed, all but the power it lends, before the
+    second is built.
     """
     k1 = m1._terms(l1)
-    k2 = m2._terms(l2, k1 if l2 is l1 else None)
-    return k1, k2, k1.survival(), k2.survival()
+    s1 = k1.survival()
+    power = (k1.c, k1.z) if l2 is l1 and m2._shares_power(m1) else None
+    if not kernels:
+        k1 = None
+    k2 = m2._terms(l2, power)
+    return k1, (k2 if kernels else None), s1, k2.survival()
 
 
-def _pair_pass(m1: MixtureModel, m2: MixtureModel, grid: EvaluationGrid):
+def _pair_pass(m1: MixtureModel, m2: MixtureModel, grid: EvaluationGrid, kernels: bool = True):
     """``_pair`` on each block of the grid, in order, as ``(start, x, k1, k2, s1, s2)``
     with ``start`` the grid index of the block's first point.
 
@@ -159,7 +166,7 @@ def _pair_pass(m1: MixtureModel, m2: MixtureModel, grid: EvaluationGrid):
     for start in range(0, len(grid), step):
         x = _x_of(grid.t_values[start:start + step])
         l1, l2 = _baseline_pair(m1, m2, "log_survival", x)
-        yield (start, x, *_pair(m1, m2, l1, l2))
+        yield (start, x, *_pair(m1, m2, l1, l2, kernels))
 
 
 def check_st(
@@ -170,7 +177,7 @@ def check_st(
 ) -> OrderVerdict:
     """Pointwise survival comparison on the grid, one block of points at a time."""
     leq = geq = None
-    for start, _, _, _, s1, s2 in _pair_pass(m1, m2, grid):
+    for start, _, _, _, s1, s2 in _pair_pass(m1, m2, grid, kernels=False):
         leq = _first_max(np.maximum(s1 - s2, 0.0), start, leq)
         geq = _first_max(np.maximum(s2 - s1, 0.0), start, geq)
     return _verdict(leq, geq, grid.t_values, slack)
@@ -285,7 +292,10 @@ def check_star(
     A ``TailError`` during quantile inversion marks the verdict inconclusive.
     Grid points whose cdf is numerically 0 or 1 are dropped (recorded) since
     they cannot be inverted.  Each quantile solve starts from the inverted
-    model's own cdf table on the kept points, not from the small-u slope.
+    model's own cdf table on the kept points, not from the small-u slope, and a
+    level stops after the first Newton step whose predicted error is within a
+    tenth of the solver's tolerance, so it costs about one kernel evaluation
+    instead of two.
     """
     l1, l2 = _baseline_pair(m1, m2, "log_survival", grid.x_values)
     u1 = m1._terms(l1).cdf()

@@ -1,7 +1,15 @@
 import numpy as np
 import pytest
 
-from mixorder import Exponential, MixtureModel, PowerBurr, default_grid
+from mixorder import (
+    Exponential,
+    MixtureModel,
+    ParameterMatrix,
+    PowerBurr,
+    Scenario,
+    TTransform,
+    default_grid,
+)
 
 
 @pytest.fixture(scope="session")
@@ -52,3 +60,17 @@ def random_mixture(rng: np.random.Generator, variant: str) -> MixtureModel:
     n = int(rng.integers(2, 6))
     components = zip(rng.dirichlet(np.ones(n)), rng.uniform(0.3, 3.0, size=n))
     return getattr(MixtureModel, variant)(random_baseline(rng), rng.uniform(0.3, 3.0), components)
+
+
+def light_pair():
+    """A seeded two-component exponential ``vary_alpha`` pair with ``lam`` in (0.05, 0.15),
+    the light tail among the ``check_star`` test pairs: ``(model_a, model_b, grid)``."""
+    rng = np.random.default_rng(0)
+    p1 = rng.uniform(0.2, 0.8)
+    light = Scenario(
+        baseline=Exponential(rng.uniform(0.1, 0.3)), variant="vary_alpha",
+        common_param=rng.uniform(0.05, 0.15),
+        matrix_a=ParameterMatrix((p1, 1.0 - p1), tuple(rng.uniform(0.2, 0.9, size=2))),
+        chain=(TTransform(rng.uniform(0.2, 0.8), (1, 0)),),
+    )
+    return light.model_a(), light.model_b(), default_grid()

@@ -1,18 +1,19 @@
-"""Allocation bounds of the large-array CLI commands.
+"""Allocation bounds of the large-array CLI commands, and of a search st trial.
 
-Each test runs a command at two sizes under ``tracemalloc`` (which sees numpy's
+Each command test runs a command at two sizes under ``tracemalloc`` (which sees numpy's
 array data) and compares the peaks, so it measures memory, not time.  ``sample``
 holds one block of draws whatever ``--n`` is; ``curve``, ``check-order --order
 st/hr`` and the hr report of ``verify-examples --ids 6`` hold the grid's ``t`` (8
 bytes a point) and one block.
 """
 
+import gc
 import json
 import tracemalloc
 
 import pytest
 
-from mixorder import cli, default_grid
+from mixorder import cli, default_grid, search_counterexamples
 
 
 def traced_peak(work) -> int:
@@ -79,3 +80,20 @@ def test_default_grid_holds_one_array():
 
     assert traced_peak(build) <= 12 * LARGE_GRID
     assert "x_values" not in vars(grid)
+
+
+@pytest.mark.parametrize("tid, bound", [("T3i", 280_000), ("T1i", 234_000)])
+def test_search_st_trial_holds_one_kernel(tid, bound):
+    # an st trial reads only its pair's survivals, so it frees the first kernel before it
+    # builds the second (T3i, a vary_lambda pair), or all of it but the power that the
+    # second reuses (T1i, a vary_alpha pair); the bound is on the peak above what the run
+    # leaves allocated, the interpreter's free lists, which grow with the trials
+    search_counterexamples(tid, 60, 5)  # first-use work outside the measurement
+    gc.collect()
+    tracemalloc.start()
+    try:
+        search_counterexamples(tid, 60, 5)
+        current, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak - current <= bound, (peak, current)

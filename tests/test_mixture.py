@@ -23,9 +23,17 @@ from mixorder import (
     example_scenario,
     mphr,
 )
-from conftest import random_mixture
+from conftest import light_pair, random_mixture
 
 EXP1 = Exponential(rate=1.0)
+
+
+def star_case(k):
+    """``(model_a, model_b, grid)`` of bundled example ``k``, or of ``light_pair`` for "light"."""
+    if k == "light":
+        return light_pair()
+    _, s = example_scenario(k)
+    return s.model_a(), s.model_b(), s.grid
 
 
 def degenerate(alpha=1.0, lam=1.0, baseline=EXP1):
@@ -348,9 +356,10 @@ class TestQuantileAccuracy:
                 err = self.relative_error(m, level, x)
                 assert err <= 1e-12, (m, level, float(err))
 
-    @pytest.mark.parametrize("k", [5, 7])
+    @pytest.mark.parametrize("k", [5, 7, "light"])
     def test_check_star_warm_starts_match_mpmath_cdf(self, monkeypatch, k):
-        # levels check_star inverts from its cdf-table starts: every 4th and the last
+        # levels check_star inverts from its cdf-table starts, which stop on Newton's
+        # error bound: every 4th and the last
         solved = []
         warm = MixtureModel._quantile
 
@@ -360,8 +369,7 @@ class TestQuantileAccuracy:
             return x
 
         monkeypatch.setattr(MixtureModel, "_quantile", recorded)
-        _, s = example_scenario(k)
-        check_star(s.model_a(), s.model_b(), s.grid)
+        check_star(*star_case(k))
         assert len(solved) == 2
         for m, u, q in solved:
             idx = np.r_[0:u.size:4, u.size - 1]
@@ -448,6 +456,32 @@ class TestQuantileCounts:
         calls = self.count_calls(monkeypatch, type(a.baseline))
         check_star(a, b, s.grid)
         assert calls["_terms"] <= 10 and calls["baseline"] <= 5, calls
+
+    @pytest.mark.parametrize("k", [5, 7, "light"])
+    def test_check_star_evaluates_a_level_about_once(self, monkeypatch, k):
+        # a table-started level stops after the first Newton step whose predicted error
+        # is within the tolerance, instead of evaluating the kernel again to confirm it
+        running, solved = [], []
+        terms, warm = MixtureModel._terms, MixtureModel._quantile
+
+        def counted_terms(self, logs, power=None):
+            if running:
+                running[-1][1] += np.size(logs)
+            return terms(self, logs, power)
+
+        def recorded(self, u, start):
+            running.append([np.size(u), 0])
+            try:
+                return warm(self, u, start)
+            finally:
+                solved.append(running.pop())
+
+        monkeypatch.setattr(MixtureModel, "_terms", counted_terms)
+        monkeypatch.setattr(MixtureModel, "_quantile", recorded)
+        check_star(*star_case(k))
+        assert len(solved) == 2
+        for levels, evaluated in solved:
+            assert evaluated <= 1.25 * levels, (levels, evaluated)
 
     def test_tail_guard_evaluated_once_per_model(self, monkeypatch):
         # log S(1e18) and cdf(1e18) are constants of the model

@@ -12,11 +12,8 @@ from mixorder import (
     InfiniteMeanSuspected,
     MixtureModel,
     ParameterError,
-    ParameterMatrix,
     PowerBurr,
-    Scenario,
     TailError,
-    TTransform,
     check_hr,
     check_lorenz,
     check_order,
@@ -38,7 +35,7 @@ from mixorder.orders import (
     _monotone_max,
     _undecided,
 )
-from conftest import random_mixture
+from conftest import light_pair, random_mixture
 
 EXP1 = Exponential(rate=1.0)
 
@@ -335,15 +332,7 @@ def star_pairs():
         _, s = example_scenario(k)
         pairs.append((f"example{k}", s.model_a(), s.model_b(), s.grid))
     grid = default_grid()
-    rng = np.random.default_rng(0)
-    p1 = rng.uniform(0.2, 0.8)
-    light = Scenario(
-        baseline=Exponential(rng.uniform(0.1, 0.3)), variant="vary_alpha",
-        common_param=rng.uniform(0.05, 0.15),
-        matrix_a=ParameterMatrix((p1, 1.0 - p1), tuple(rng.uniform(0.2, 0.9, size=2))),
-        chain=(TTransform(rng.uniform(0.2, 0.8), (1, 0)),),
-    )
-    pairs.append(("light", light.model_a(), light.model_b(), grid))
+    pairs.append(("light", *light_pair()))
     pairs.append(("distinct_baselines",
                   MixtureModel.vary_alpha(Exponential(0.5), 0.8, [(0.3, 0.4), (0.7, 1.5)]),
                   MixtureModel.vary_lambda(PowerBurr(1.5, 1.2), 0.6, [(0.5, 0.7), (0.5, 2.0)]),
