@@ -12,7 +12,8 @@ Exit codes: 0 success / 1 conclusion failure / 2 usage or parse error /
 3 numerical failure / 4 inconclusive (tail guard or suspected infinite mean).
 
 The environment variable ``MIXORDER_GRID_POINTS`` is the one override of the
-grid size: every command reads it, and a scenario's ``grid.points`` wins over it.
+grid size: ``curve``, ``check-order`` and ``verify-examples`` read it, and a
+scenario's ``grid.points`` wins over it.  ``search`` and ``sample`` do not read it.
 """
 
 from __future__ import annotations
@@ -32,7 +33,7 @@ from typing import Iterable, Iterator
 
 import numpy as np
 
-from . import mixture, orders
+from . import orders
 from .errors import (
     DomainError,
     InfiniteMeanSuspected,
@@ -51,7 +52,6 @@ from .mixture import (
     _require_count,
     _require_grid_points,
     _require_seed,
-    _x_of,
 )
 from .theorems import (  # scenario_to_dict and bundled_scenario_path are re-exported
     EXAMPLE_IDS,
@@ -146,7 +146,7 @@ def _atomic_write(path: Path, blocks: Iterable[bytes]) -> None:
 
 def _format_rows(columns: list, precision: int) -> Iterator[bytes]:
     """Rows of the equal-length arrays in ``columns`` as comma-separated C ``%.{precision}g``
-    text, in chunks of at most ``_BLOCK`` values: whole rows, each chunk ending in a newline."""
+    text, in chunks of ``_blocks`` rows: whole rows, each chunk ending in a newline."""
     from .gformat import format_g  # on first use: commands that write no table never compile it
 
     separators = "," * (len(columns) - 1) + "\n"
@@ -156,8 +156,7 @@ def _format_rows(columns: list, precision: int) -> Iterator[bytes]:
 
 def _curve_rows(models, grid: EvaluationGrid, which: str) -> Iterator[bytes]:
     """The models' ``which`` curves as CSV rows, evaluated and formatted one block at a time."""
-    for block in _blocks(len(grid)):
-        x = _x_of(grid.t_values[block])
+    for block, x in grid.blocks():
         values = [_curve_values(m, x, which) for m in models]
         yield from _format_rows([grid.t_values[block], x, *values], 15)
 
@@ -173,6 +172,7 @@ def _cmd_curve(args) -> int:
 
 
 def _parse_ids(raw: str) -> list[int]:
+    """The example ids of ``--ids``, each once, in the order of their first mention."""
     if raw.strip().lower() == "all":
         return list(EXAMPLE_IDS)
     ids = []
@@ -189,7 +189,7 @@ def _parse_ids(raw: str) -> list[int]:
         ids.append(k)
     if not ids:
         raise ScenarioParseError("no example ids given")
-    return ids
+    return list(dict.fromkeys(ids))
 
 
 def _text_report(k: int, report: TheoremReport) -> str:
@@ -209,8 +209,8 @@ def _text_report(k: int, report: TheoremReport) -> str:
 
 
 def _cmd_verify_examples(args) -> int:
-    ids = _parse_ids(args.ids)
-    reports = {k: verify_example(k, default_grid_points(), _GRID_ENV) for k in ids}
+    ids, points = _parse_ids(args.ids), default_grid_points()
+    reports = {k: verify_example(k, points, _GRID_ENV) for k in ids}
     all_consistent = all(r.consistent for r in reports.values())
     if args.format == "json":
         doc = {
@@ -272,15 +272,14 @@ def _require_room(path: Path, size: int, what: str) -> None:
 
 
 def _cmd_sample(args) -> int:
-    scenario = load_scenario(args.scenario)
+    scenario = read_scenario(args.scenario)[1]  # not load_scenario: sample uses no grid
     model, n, out = scenario.model_a(), args.n, Path(args.out)
     _require_count(n, "sample count")
     _require_seed(args.seed)
     # every line is at least a digit and a newline: a count the disk cannot take fails here
     _require_room(out, 2 * n, f"{n} draws")
     # one sample() call per block of the same stream, each made as the file takes it
-    step = mixture._BLOCK
-    blocks = (model.sample(n, args.seed, slice(start, start + step)) for start in range(0, n, step))
+    blocks = (model.sample(n, args.seed, block) for block in _blocks(n))
     _atomic_write(out, itertools.chain.from_iterable(_format_rows([d], 17) for d in blocks))
     print(f"wrote {n} samples to {args.out}")
     return EXIT_OK

@@ -23,7 +23,7 @@ from __future__ import annotations
 import math
 from dataclasses import InitVar, dataclass, field
 from functools import cached_property
-from typing import Iterable, NamedTuple
+from typing import Iterable, Iterator, NamedTuple
 
 import numpy as np
 
@@ -48,10 +48,10 @@ _QUANTILE_W_MIN = -745.0
 _QUANTILE_W_RTOL = 1e-12
 _QUANTILE_MAX_ITER = 200
 _C_FLOOR = -np.finfo(float).max
-# points that the large-array paths (sample, the CLI's curve and sample output)
-# work on at a time, so that their twenty-odd temporaries stay within a few MB
-# instead of growing with the grid; check_st and check_hr take half as many
-# points, and at least two, of each of their two models
+# values that the large-array paths (sample, check_st and check_hr, the CLI's
+# curve and sample output) work on at a time, so that their twenty-odd
+# temporaries stay within a few MB instead of growing with the grid; _blocks
+# turns it into a slice size
 _BLOCK = 8192
 
 CURVE_KINDS = ("survival", "hazard", "density", "cdf")
@@ -356,9 +356,11 @@ def _settled(t: "_Terms", ew, slope, tail, upper, sq, tol, ratio_bound):
 
 
 def _blocks(n: int, width: int = 1) -> list[slice]:
-    """``range(n)`` as consecutive slices of ``_BLOCK // width`` indices (at least one), the
-    last one shorter: rows of ``width`` values each, at most ``_BLOCK`` values to a slice."""
-    step = max(1, _BLOCK // width)
+    """``range(n)`` as consecutive slices of ``_BLOCK // width`` indices, and at least
+    ``width``, the last one shorter: rows of ``width`` values each, about ``_BLOCK`` values
+    to a slice.  A pair of models (width 2) thus gets at least two points to a slice, so
+    that only a one-point grid has no ratio step in its first slice."""
+    step = max(width, _BLOCK // width)
     return [slice(start, min(start + step, n)) for start in range(0, n, step)]
 
 
@@ -459,7 +461,7 @@ class EvaluationGrid:
     The grid keeps a private read-only copy of ``t_values`` (``default_grid``
     hands over its own array instead).  ``x_values`` is built, read-only, on its
     first read; the large-array paths form each block's ``x`` from its ``t`` with
-    ``_x_of`` instead, with the same bits.
+    ``blocks`` instead, with the same bits.
     """
 
     t_values: np.ndarray = field(repr=False)
@@ -484,6 +486,11 @@ class EvaluationGrid:
         x = _x_of(self.t_values)
         x.flags.writeable = False
         return x
+
+    def blocks(self, width: int = 1) -> Iterator[tuple[slice, np.ndarray]]:
+        """The grid's ``_blocks(len(self), width)``, in order, each with its points' ``x``."""
+        for block in _blocks(len(self), width):
+            yield block, _x_of(self.t_values[block])
 
 
 def _x_of(t: np.ndarray) -> np.ndarray:

@@ -22,7 +22,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import mixture
 from .baseline import BaselineDistribution
 from .errors import (
     DomainError,
@@ -30,7 +29,7 @@ from .errors import (
     ParameterError,
     TailError,
 )
-from .mixture import EvaluationGrid, MixtureModel, _x_of
+from .mixture import EvaluationGrid, MixtureModel
 
 __all__ = [
     "OrderVerdict",
@@ -155,18 +154,11 @@ def _pair(m1: MixtureModel, m2: MixtureModel, l1, l2, kernels: bool = True):
 
 
 def _pair_pass(m1: MixtureModel, m2: MixtureModel, grid: EvaluationGrid, kernels: bool = True):
-    """``_pair`` on each block of the grid, in order, as ``(start, x, k1, k2, s1, s2)``
-    with ``start`` the grid index of the block's first point.
-
-    A block has ``_BLOCK // 2`` points, so that the pair holds as many values as
-    one model's block of ``_BLOCK`` points would, and at least two, so that only a
-    one-point grid has no ratio step in its first block.
-    """
-    step = max(2, mixture._BLOCK // 2)
-    for start in range(0, len(grid), step):
-        x = _x_of(grid.t_values[start:start + step])
+    """``_pair`` on each of ``grid.blocks(2)`` (two models' values a point), in order, as
+    ``(start, x, k1, k2, s1, s2)`` with ``start`` the grid index of the block's first point."""
+    for block, x in grid.blocks(2):
         l1, l2 = _baseline_pair(m1, m2, "log_survival", x)
-        yield (start, x, *_pair(m1, m2, l1, l2, kernels))
+        yield (block.start, x, *_pair(m1, m2, l1, l2, kernels))
 
 
 def check_st(

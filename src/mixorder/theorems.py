@@ -50,10 +50,8 @@ from .majorization import (
 from .mixture import (
     EvaluationGrid,
     MixtureModel,
-    _blocks,
     _require_count,
     _require_seed,
-    _x_of,
     default_grid,
 )
 from .orders import (
@@ -438,8 +436,8 @@ def _hyp_hazard_positive(s: Scenario) -> HypothesisCheck:
     """Whether the baseline hazard is positive and finite on the grid, read one block
     of points at a time."""
     low, finite = np.inf, True
-    for block in _blocks(len(s.grid)):
-        r = np.asarray(s.baseline.hazard(_x_of(s.grid.t_values[block])))
+    for _, x in s.grid.blocks():
+        r = np.asarray(s.baseline.hazard(x))
         low = np.minimum(low, r.min())  # a NaN anywhere is the minimum
         finite = finite and bool(np.isfinite(r).all())
     low = float(low)

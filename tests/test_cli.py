@@ -394,6 +394,18 @@ class TestVerifyExamples:
         assert code == 2
         assert out == "" and "MIXORDER_GRID_POINTS must be a positive integer" in err
 
+    def test_repeated_ids_evaluated_once(self, capsys, monkeypatch):
+        # each id is evaluated and printed once, in the order of its first mention, and the
+        # grid size is read once per command
+        calls, reads = [], []
+        verify, points = cli.verify_example, cli.default_grid_points
+        monkeypatch.setattr(cli, "verify_example", lambda k, *a: calls.append(k) or verify(k, *a))
+        monkeypatch.setattr(cli, "default_grid_points", lambda: reads.append(1) or points())
+        monkeypatch.setenv("MIXORDER_GRID_POINTS", "301")
+        code, out, _ = run(["verify-examples", "--ids", "2,1,2,1"], capsys)
+        assert code == 0 and (calls, reads) == ([2, 1], [1])
+        assert re.findall(r"^example (\d)", out, re.M) == ["2", "1"]
+
     def test_grid_points_flag_is_gone_exit_2(self, capsys):
         code, out, err = run(["verify-examples", "--grid-points", "301"], capsys)
         assert (code, out) == (2, "")
@@ -598,6 +610,17 @@ class TestSample:
             assert code == 0
         assert a.read_text() == b.read_text()
         assert len(a.read_text().strip().split("\n")) == 10
+
+    def test_grid_env_is_not_read(self, tmp_path, capsys, monkeypatch):
+        # sample uses no grid, so an override that is no size at all changes neither its exit
+        # code nor its bytes
+        argv = ["sample", str(cli.bundled_scenario_path(5)), "--n", "10", "--seed", "1", "--out"]
+        unset, zero = tmp_path / "unset.txt", tmp_path / "zero.txt"
+        monkeypatch.delenv("MIXORDER_GRID_POINTS", raising=False)
+        assert run(argv + [str(unset)], capsys)[::2] == (0, "")
+        monkeypatch.setenv("MIXORDER_GRID_POINTS", "zero")
+        assert run(argv + [str(zero)], capsys)[::2] == (0, "")
+        assert zero.read_bytes() == unset.read_bytes()
 
     def test_negative_seed_exit_2(self, tmp_path, capsys):
         out = tmp_path / "s.txt"

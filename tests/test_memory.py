@@ -2,9 +2,9 @@
 
 Each command test runs a command at two sizes under ``tracemalloc`` (which sees numpy's
 array data) and compares the peaks, so it measures memory, not time.  ``sample``
-holds one block of draws whatever ``--n`` is; ``curve``, ``check-order --order
-st/hr`` and the hr report of ``verify-examples --ids 6`` hold the grid's ``t`` (8
-bytes a point) and one block.
+holds one block of draws whatever ``--n`` is, and no grid of ``MIXORDER_GRID_POINTS``
+points; ``curve``, ``check-order --order st/hr`` and the hr report of
+``verify-examples --ids 6`` hold the grid's ``t`` (8 bytes a point) and one block.
 """
 
 import gc
@@ -39,6 +39,18 @@ def test_sample_peak_does_not_grow_with_n(tmp_path, capsys):
     sample(1000)()  # imports and first-use work outside the measurement
     small, large = traced_peak(sample(50_000)), traced_peak(sample(400_000))
     assert large - small < 1_000_000, (small, large)
+
+
+def test_sample_builds_no_grid_of_the_env_size(tmp_path, capsys, monkeypatch):
+    # sample reads no grid, so a MIXORDER_GRID_POINTS of a million points (8 MB of t)
+    # allocates nothing for it
+    scenario, out = str(cli.bundled_scenario_path(5)), str(tmp_path / "draws.txt")
+    work = lambda: run(["sample", scenario, "--n", "10", "--seed", "1", "--out", out])
+    monkeypatch.delenv("MIXORDER_GRID_POINTS", raising=False)
+    work()  # imports and first-use work outside the measurement
+    unset = traced_peak(work)
+    monkeypatch.setenv("MIXORDER_GRID_POINTS", "1000000")
+    assert traced_peak(work) - unset < 1_000_000, unset
 
 
 SMALL_GRID, LARGE_GRID = 20_000, 120_000
