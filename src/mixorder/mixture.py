@@ -167,7 +167,7 @@ class MixtureModel:
         bracketed by ``[-745, log(-log S(1e18))]`` and started from the small-u
         slope ``w0 = log(-log1p(-u) / sum_i p_i lam_i / alpha_i)``.  An iteration
         takes one Newton step, with derivative ``dG/dlog s`` (the kernel's
-        ``density(1.0)``), on ``log F - log u`` for ``u <= 1/2``, where ``F`` is
+        ``survival_slope``), on ``log F - log u`` for ``u <= 1/2``, where ``F`` is
         the cancellation-free cdf ``sum_i p_i (1 - z_i) / m_i``, and on
         ``log1p(-u) - log G`` above; a step that leaves the bracket becomes a
         bisection.  A level stops, and leaves the working arrays, once its step
@@ -179,23 +179,29 @@ class MixtureModel:
 
         A scalar (or 0-d) level returns a ``float``; an array returns an array
         of the same shape.  Raises ``DomainError`` for levels outside (0, 1) or
-        NaN, and ``TailError``, before solving, when a level exceeds
+        NaN, and then ``TailError``, before solving, when a level exceeds
         ``cdf(1e18)``.
         """
-        slope = sum(p * l / a for p, a, l in zip(self.weights, self.alphas, self.lams))
-        return self._quantile(u, lambda u, log_u, log1m_u: np.log(-log1m_u / slope))
-
-    def _quantile(self, u, start):
-        """``quantile`` with the Newton start ``w0 = start(u, log u, log1p(-u))`` for the
-        flattened levels ``u``, whose two logs are computed once for the start and the
-        solver's targets.  A start marked ``near``, as ``_table_start``'s are, lets the
-        solver stop a level on Newton's error bound."""
         levels = np.asarray(u, dtype=float)
         bad = ~((levels > 0.0) & (levels < 1.0))
         if np.any(bad):
             raise DomainError(
                 f"quantile level must lie in (0, 1), got {float(levels[bad][0])!r}"
             )
+        slope = sum(p * l / a for p, a, l in zip(self.weights, self.alphas, self.lams))
+        return self._quantile(levels, lambda u, log_u, log1m_u: np.log(-log1m_u / slope))
+
+    def _quantile(self, u, start):
+        """``quantile`` of levels ``u`` already known to lie in (0, 1), with the Newton
+        start ``w0 = start(u, log u, log1p(-u))`` for the flattened levels.
+
+        The two logs serve the start and the solver's targets.  They are computed here
+        unless the start carries them as ``level_logs``, as ``_table_start``'s do for the
+        levels they are made for.  A start marked ``near``, as ``_table_start``'s are,
+        lets the solver stop a level on Newton's error bound.  Raises ``TailError``
+        when a level exceeds ``cdf(1e18)``.
+        """
+        levels = np.asarray(u, dtype=float)
         logs_max, u_max = self._tail_guard
         past = levels > u_max
         if np.any(past):
@@ -204,7 +210,7 @@ class MixtureModel:
                 f"cdf({_QUANTILE_X_MAX:g}) = {u_max!r}"
             )
         flat = levels.reshape(-1)
-        log_u, log1m_u = np.log(flat), np.log1p(-flat)
+        log_u, log1m_u = getattr(start, "level_logs", None) or (np.log(flat), np.log1p(-flat))
         upper = flat > 0.5
         w_max = math.log(-logs_max)
         w0 = np.clip(start(flat, log_u, log1m_u), _QUANTILE_W_MIN, w_max)
@@ -220,27 +226,38 @@ class MixtureModel:
         logs_max = self.baseline.log_survival(_QUANTILE_X_MAX)
         return float(logs_max), float(self._terms(logs_max).cdf())
 
-    def _table_start(self, cdf: np.ndarray, logs: np.ndarray):
+    def _table_start(self, logs: np.ndarray, w: np.ndarray, table: tuple[np.ndarray, np.ndarray],
+                     level_logs: tuple[np.ndarray, np.ndarray]):
         """A Newton start for ``_quantile`` from this model's increasing cdf table.
 
-        ``cdf``, inside ``(1e-300, 1 - 3e-8)``, and baseline ``logs`` at the same
-        points give ``w = log(-log s)`` linear in ``log u`` for ``u <= 1/2`` and
-        ``-log s`` linear in ``-log(1 - u)`` above, where the mixture is nearly
-        linear; past the far ends it follows ``u ~ e^w`` and ``1 - u ~ s^min(lam)``.
+        ``logs`` are baseline ``log s`` at the table's points and ``w = log(-logs)``;
+        ``table`` is ``(log u, log1p(-u))`` of this model's cdf ``u`` there, inside
+        ``(1e-300, 1 - 3e-8)``, and ``level_logs`` the same pair for the levels that the
+        start is made for, which it carries for ``_quantile``.  The start takes ``w``
+        linear in ``log u`` for ``u <= 1/2`` and ``-log s`` linear in ``-log(1 - u)``
+        above, where the mixture is nearly linear; past the far ends it follows
+        ``u ~ e^w`` and ``1 - u ~ s^min(lam)``.  Increasing levels that straddle 1/2 take
+        each rule only on their own side; levels in any other order take ``_by_side``.
         Such a start lies within about one grid cell of its root, so it is marked
         ``near``: its levels stop on Newton's error bound.
         """
+        lc, hc, lam = table[0], -table[1], min(self.lams)
+
+        def low(log_u):
+            return np.interp(log_u, lc, w - lc) + log_u
+
+        def high(log1m_u):
+            hu = -log1m_u
+            return np.log((np.interp(hu, hc, -lam * logs - hc) + np.maximum(hu, hc[0])) / lam)
+
         def start(u, log_u, log1m_u):
-            def low():
-                lc = np.log(cdf)
-                return np.interp(log_u, lc, np.log(-logs) - lc) + log_u
-
-            def high():
-                hu, hc, lam = -log1m_u, -np.log1p(-cdf), min(self.lams)
-                return np.log((np.interp(hu, hc, -lam * logs - hc) + np.maximum(hu, hc[0])) / lam)
-
-            return _by_side(u > 0.5, high, low)
+            upper = u > 0.5
+            j = u.size - np.count_nonzero(upper)  # levels at or below 1/2
+            if 0 < j < u.size and not upper[:j].any():
+                return np.concatenate((low(log_u[:j]), high(log1m_u[j:])))
+            return _by_side(upper, lambda: high(log1m_u), lambda: low(log_u))
         start.near = True
+        start.level_logs = level_logs
         return start
 
     def _solve_log_log_survival(self, upper: np.ndarray, target: np.ndarray, w: np.ndarray,
@@ -252,7 +269,9 @@ class MixtureModel:
         ``near`` start, within Newton's quadratic reach, it also stops after the
         first Newton step whose predicted remaining error ``K * step**2`` is at most
         a tenth of that (``_settled``), instead of evaluating the kernel once more
-        to confirm it; the two stops differ by about that error.
+        to confirm it; the two stops differ by about that error.  The bracket is
+        updated in place, the bisection is formed only when some step leaves it, and
+        the levels still running are gathered once per iteration by their indices.
         """
         # bounds |D2/D1| = |sum_i q_i lam_i (2 - m_i) / m_i| / sum_i q_i, q_i >= 0, over
         # m_i in [min(1, a_i), max(1, a_i)]
@@ -270,30 +289,29 @@ class MixtureModel:
                 tail = _by_side(upper, t.survival, t.cdf)
                 # log F - log u below 1/2 and log1p(-u) - log G above both rise with w
                 g = np.log(tail) - target
-                g = np.where(upper, -g, g)
+                np.negative(g, out=g, where=upper)
                 low = g < 0.0
-                lo = np.where(low, w, lo)
-                hi = np.where(low, hi, w)
+                np.putmask(lo, low, w)
+                np.putmask(hi, ~low, w)
                 # dg/dw = e^w * (dG/dlog s) / tail on both sides
-                slope = t.density(1.0) * ew
+                slope = t.survival_slope() * ew
                 step = -g * tail / slope
                 new = w + step
                 inside = (new >= lo) & (new <= hi)
-                new = np.where(inside, new, 0.5 * (lo + hi))
+                if not inside.all():
+                    new = np.where(inside, new, 0.5 * (lo + hi))
                 tol = _QUANTILE_W_RTOL * np.maximum(1.0, np.abs(w))
                 done = np.abs(new - w) <= tol
                 if near and not done.all():
                     done |= inside & _settled(t, ew, slope, tail, upper, step * step, 0.2 * tol,
                                               ratio_bound)
-                out[todo[done]] = new[done]
-                go = ~done
-                if not np.any(go):
+                out[todo] = new
+                go = (~done).nonzero()[0]
+                if not go.size:
                     break
                 todo, w, lo, hi, upper, target = (
-                    arr[go] for arr in (todo, new, lo, hi, upper, target)
+                    arr.take(go) for arr in (todo, new, lo, hi, upper, target)
                 )
-            else:
-                out[todo] = w
         return out
 
     def sample(self, n: int, seed: int, block: slice | None = None) -> np.ndarray:
@@ -347,10 +365,10 @@ def _settled(t: "_Terms", ew, slope, tail, upper, sq, tol, ratio_bound):
     """
     gp = slope / tail
     settled = (1.0 + ew * ratio_bound + gp) * sq <= tol
-    rest = np.flatnonzero(~settled)
+    rest = (~settled).nonzero()[0]
     if rest.size:
-        ew, slope, gp, sq, tol = (v[rest] for v in (ew, slope, gp, sq, tol))
-        k2 = np.abs(1.0 - ew * ew * t.density_slope(rest) / slope + np.where(upper[rest], gp, -gp))
+        ew, slope, gp, sq, tol, upper = (v.take(rest) for v in (ew, slope, gp, sq, tol, upper))
+        k2 = np.abs(1.0 - ew * ew * t.density_slope(rest) / slope + np.where(upper, gp, -gp))
         settled[rest] = k2 * sq <= tol
     return settled
 
@@ -416,9 +434,14 @@ class _Terms(NamedTuple):
         """``1 - survival`` as ``sum_i w_i (1 - z_i) / m_i``, free of cancellation near s = 1."""
         return _sum_rows(self.w * -np.expm1(self.c) / self.m)
 
+    def survival_slope(self):
+        """``dG/dlog s``, ``sum_i w_i lam_i a_i z_i / m_i**2``: ``density`` at a unit baseline
+        hazard, to the bit, without multiplying by it."""
+        return _sum_rows(self.wla * self.z / self.m**2)
+
     def density_slope(self, index):
-        """``d density(1.0) / dlog s``, ``sum_i w_i lam_i^2 a_i z_i (1 + (1 - a_i) z_i) / m_i**3``,
-        at the levels ``index`` of a one-dimensional level array."""
+        """``d survival_slope / dlog s``, ``sum_i w_i lam_i^2 a_i z_i (1 + (1 - a_i) z_i) /
+        m_i**3``, at the levels ``index`` of a one-dimensional level array."""
         z, m = self.z.take(index, axis=1), self.m.take(index, axis=1)
         return _sum_rows(self.wla * self.lam * z * (2.0 - m) / (m * m * m))
 

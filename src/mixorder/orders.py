@@ -287,22 +287,29 @@ def check_star(
     model's own cdf table on the kept points, not from the small-u slope, and a
     level stops after the first Newton step whose predicted error is within a
     tenth of the solver's tolerance, so it costs about one kernel evaluation
-    instead of two.
+    instead of two.  Each model's ``log u`` and ``log1p(-u)`` are taken once, as
+    one inversion's levels and the other's table, and ``log(-log s)`` once for a
+    shared baseline.
     """
     l1, l2 = _baseline_pair(m1, m2, "log_survival", grid.x_values)
     u1 = m1._terms(l1).cdf()
     u2 = m2._terms(l2).cdf()
     keep = (u1 > _CDF_LO) & (u1 < _CDF_HI) & (u2 > _CDF_LO) & (u2 < _CDF_HI)
     notes: tuple[str, ...] = ()
+    t, x = grid.t_values, grid.x_values
     if not np.all(keep):
         notes = (f"{int(np.sum(~keep))} grid points dropped (cdf at 0 or 1)",)
-    t = grid.t_values[keep]
+        t, x, u1, u2 = t[keep], x[keep], u1[keep], u2[keep]
+        l1, l2 = (l1[keep],) * 2 if l2 is l1 else (l1[keep], l2[keep])
     if t.size < 2:
         return _undecided("fewer than two grid points with invertible cdf", notes=notes)
-    x = grid.x_values[keep]
+    w1 = np.log(-l1)
+    w2 = w1 if l2 is l1 else np.log(-l2)
+    # log u and log1p(-u) of each model's cdf: one inversion's levels, the other's table
+    lu1, lu2 = (np.log(u1), np.log1p(-u1)), (np.log(u2), np.log1p(-u2))
     try:
-        s_12 = m2._quantile(u1[keep], m2._table_start(u2[keep], l2[keep]))
-        s_21 = m1._quantile(u2[keep], m1._table_start(u1[keep], l1[keep]))
+        s_12 = m2._quantile(u1, m2._table_start(l2, w2, lu2, lu1))
+        s_21 = m1._quantile(u2, m1._table_start(l1, w1, lu1, lu2))
     except TailError as exc:
         return _undecided(f"quantile inversion hit the tail guard: {exc}", notes=notes)
     (leq, _), (geq, _) = _monotone_max(s_12 / x), _monotone_max(s_21 / x)

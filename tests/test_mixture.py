@@ -23,6 +23,8 @@ from mixorder import (
     example_scenario,
     mphr,
 )
+from mixorder import mixture
+from mixorder.mixture import _QUANTILE_MAX_ITER, _QUANTILE_W_MIN, _QUANTILE_W_RTOL, _by_side
 from conftest import light_pair, random_mixture
 
 EXP1 = Exponential(rate=1.0)
@@ -224,9 +226,17 @@ class TestQuantile:
 
     def test_domain(self):
         m = degenerate()
-        for u in (0.0, 1.0, -0.1, 1.1):
+        for u in (0.0, 1.0, -0.1, 1.1, float("nan")):
             with pytest.raises(DomainError):
                 m.quantile(u)
+
+    def test_domain_error_comes_before_the_tail_guard(self):
+        # a level past cdf(1e18) ahead of one outside (0, 1): the domain check runs first
+        m = MixtureModel.vary_alpha(PowerBurr(0.2, 0.5), 0.1, [(1.0, 1.0)])
+        assert float(m.cdf(1e18)) < 0.9999
+        with pytest.raises(DomainError) as exc:
+            m.quantile(np.array([0.9999, 1.5]))
+        assert str(exc.value) == "quantile level must lie in (0, 1), got 1.5"
 
     def test_tail_guard(self):
         # survival ~ x^{-0.01}: the 1e18 bracket limit must trip, not hang
@@ -287,6 +297,59 @@ def example_models():
     """Models A and B of bundled examples 5 (exponential) and 7 (heavy-tailed power_burr)."""
     scenarios = [example_scenario(k)[1] for k in (5, 7)]
     return [m for s in scenarios for m in (s.model_a(), s.model_b())]
+
+
+def reference_solve(self, upper, target, w, w_max, near):
+    """``MixtureModel._solve_log_log_survival`` as a loop of whole-array statements: a new
+    bracket, sign and bisection array each iteration, and boolean gathers.  The solver does
+    the same arithmetic with less bookkeeping, so it must return the same bits."""
+    ratio_bound = max(self.lams) * max(1.0, 2.0 / min(self.alphas) - 1.0)
+    lo = np.full(w.shape, _QUANTILE_W_MIN)
+    hi = np.full(w.shape, w_max)
+    out = np.empty(w.shape)
+    todo = np.arange(w.size)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for _ in range(_QUANTILE_MAX_ITER):
+            ew = np.exp(w)
+            t = self._terms(-ew)
+            tail = _by_side(upper, t.survival, t.cdf)
+            g = np.log(tail) - target
+            g = np.where(upper, -g, g)
+            low = g < 0.0
+            lo = np.where(low, w, lo)
+            hi = np.where(low, hi, w)
+            slope = t.density(1.0) * ew
+            step = -g * tail / slope
+            new = w + step
+            inside = (new >= lo) & (new <= hi)
+            new = np.where(inside, new, 0.5 * (lo + hi))
+            tol = _QUANTILE_W_RTOL * np.maximum(1.0, np.abs(w))
+            done = np.abs(new - w) <= tol
+            if near and not done.all():
+                done |= inside & reference_settled(t, ew, slope, tail, upper, step * step,
+                                                   0.2 * tol, ratio_bound)
+            out[todo[done]] = new[done]
+            go = ~done
+            if not np.any(go):
+                break
+            todo, w, lo, hi, upper, target = (
+                arr[go] for arr in (todo, new, lo, hi, upper, target)
+            )
+        else:
+            out[todo] = w
+    return out
+
+
+def reference_settled(t, ew, slope, tail, upper, sq, tol, ratio_bound):
+    """``mixture._settled`` with boolean gathers, for ``reference_solve``."""
+    gp = slope / tail
+    settled = (1.0 + ew * ratio_bound + gp) * sq <= tol
+    rest = np.flatnonzero(~settled)
+    if rest.size:
+        ew, slope, gp, sq, tol = (v[rest] for v in (ew, slope, gp, sq, tol))
+        k2 = np.abs(1.0 - ew * ew * t.density_slope(rest) / slope + np.where(upper[rest], gp, -gp))
+        settled[rest] = k2 * sq <= tol
+    return settled
 
 
 class TestQuantileExactness:
@@ -376,6 +439,87 @@ class TestQuantileAccuracy:
             for level, x in zip(u[idx], q[idx]):
                 err = self.relative_error(m, level, x)
                 assert err <= 1e-12, (k, level, float(err))
+
+
+class TestSolverReference:
+    """The solver returns ``reference_solve``'s bits on every solve of a call."""
+
+    @staticmethod
+    def compared(monkeypatch):
+        """Make each solve run ``reference_solve`` on copies of its inputs as well; the
+        returned list collects ``(solver's, reference's)`` results."""
+        solves = []
+        solve = MixtureModel._solve_log_log_survival
+
+        def both(self, upper, target, w, w_max, near):
+            want = reference_solve(self, upper.copy(), target.copy(), w.copy(), w_max, near)
+            got = solve(self, upper, target, w, w_max, near)
+            solves.append((got, want))
+            return got
+
+        monkeypatch.setattr(MixtureModel, "_solve_log_log_survival", both)
+        return solves
+
+    @pytest.mark.parametrize("k", [5, 7, "light"])
+    def test_check_star_inversions(self, monkeypatch, k):
+        solves = self.compared(monkeypatch)
+        check_star(*star_case(k))
+        assert len(solves) == 2
+        for got, want in solves:
+            assert got.tobytes() == want.tobytes()
+
+    def test_public_quantile_levels(self, monkeypatch):
+        solves = self.compared(monkeypatch)
+        rng = np.random.default_rng(29)
+        sides = set()
+        for i in range(24):
+            m = random_mixture(rng, ("vary_alpha", "vary_lambda")[i % 2])
+            top = min(1.0 - 1e-15, float(m.cdf(1e18)))
+            u = np.concatenate([np.geomspace(1e-150, 0.5, 12), 1.0 - np.geomspace(0.5, 1e-12, 12)])
+            u = rng.permutation(np.minimum(u * rng.uniform(0.5, 1.0, u.size), top))
+            sides.update(u > 0.5)
+            m.quantile(u)
+            m.quantile(u.reshape(4, 6))
+            m.quantile(float(u[0]))
+            m.quantile(u[u > 0.5])
+        assert sides == {False, True} and len(solves) == 96
+        for got, want in solves:
+            assert got.tobytes() == want.tobytes()
+
+
+class TestTableStartSides:
+    """``_table_start`` runs each rule only on its own side of 1/2 where increasing levels
+    straddle it, and ``_by_side`` on any other levels, with the same starts."""
+
+    @staticmethod
+    def starts(monkeypatch, u):
+        """The table start of example 5's model A at levels ``u``, and the number of times
+        it took ``_by_side``."""
+        m, _, grid = star_case(5)
+        logs = m.baseline.log_survival(grid.x_values)
+        cdf = m._terms(logs).cdf()
+        keep = (cdf > 1e-300) & (cdf < 1.0 - 3e-8)
+        logs, cdf = logs[keep], cdf[keep]
+        levels = (np.log(u), np.log1p(-u))
+        start = m._table_start(logs, np.log(-logs), (np.log(cdf), np.log1p(-cdf)), levels)
+        calls = []
+        monkeypatch.setattr(mixture, "_by_side", lambda *a: calls.append(a) or _by_side(*a))
+        return start(u, *levels), len(calls)
+
+    LEVELS = np.concatenate([np.geomspace(1e-12, 0.5, 30), 1.0 - np.geomspace(0.49, 1e-7, 30)])
+
+    def test_increasing_levels_split_with_the_same_bits(self, monkeypatch):
+        split, calls = self.starts(monkeypatch, self.LEVELS)
+        assert calls == 0 and 0.5 in self.LEVELS
+        order = np.random.default_rng(3).permutation(self.LEVELS.size)
+        shuffled, calls = self.starts(monkeypatch, self.LEVELS[order])
+        assert calls == 1
+        assert split[order].tobytes() == shuffled.tobytes()
+
+    @pytest.mark.parametrize("levels", [LEVELS[::-1], LEVELS[:30], LEVELS[30:]],
+                             ids=["decreasing", "lower", "upper"])
+    def test_other_levels_take_by_side(self, monkeypatch, levels):
+        assert self.starts(monkeypatch, levels)[1] == 1
 
 
 class TestQuantileBits:
