@@ -196,10 +196,10 @@ class MixtureModel:
         start ``w0 = start(u, log u, log1p(-u))`` for the flattened levels.
 
         The two logs serve the start and the solver's targets.  They are computed here
-        unless the start carries them as ``level_logs``, as ``_table_start``'s do for the
-        levels they are made for.  A start marked ``near``, as ``_table_start``'s are,
-        lets the solver stop a level on Newton's error bound.  Raises ``TailError``
-        when a level exceeds ``cdf(1e18)``.
+        unless the start carries ``levels = (u, log u, log1p(-u))`` for this very array
+        ``u``, as ``_table_start``'s do; any other levels get their own logs.  A start
+        marked ``near``, as ``_table_start``'s are, lets the solver stop a level on
+        Newton's error bound.  Raises ``TailError`` when a level exceeds ``cdf(1e18)``.
         """
         levels = np.asarray(u, dtype=float)
         logs_max, u_max = self._tail_guard
@@ -210,7 +210,11 @@ class MixtureModel:
                 f"cdf({_QUANTILE_X_MAX:g}) = {u_max!r}"
             )
         flat = levels.reshape(-1)
-        log_u, log1m_u = getattr(start, "level_logs", None) or (np.log(flat), np.log1p(-flat))
+        carried = getattr(start, "levels", None)
+        if carried is not None and carried[0] is levels:
+            log_u, log1m_u = carried[1:]
+        else:
+            log_u, log1m_u = np.log(flat), np.log1p(-flat)
         upper = flat > 0.5
         w_max = math.log(-logs_max)
         w0 = np.clip(start(flat, log_u, log1m_u), _QUANTILE_W_MIN, w_max)
@@ -227,37 +231,35 @@ class MixtureModel:
         return float(logs_max), float(self._terms(logs_max).cdf())
 
     def _table_start(self, logs: np.ndarray, w: np.ndarray, table: tuple[np.ndarray, np.ndarray],
-                     level_logs: tuple[np.ndarray, np.ndarray]):
-        """A Newton start for ``_quantile`` from this model's increasing cdf table.
+                     levels: tuple[np.ndarray, np.ndarray, np.ndarray]):
+        """A Newton start for ``_quantile`` from this model's increasing cdf table, for
+        increasing levels.
 
         ``logs`` are baseline ``log s`` at the table's points and ``w = log(-logs)``;
         ``table`` is ``(log u, log1p(-u))`` of this model's cdf ``u`` there, inside
-        ``(1e-300, 1 - 3e-8)``, and ``level_logs`` the same pair for the levels that the
-        start is made for, which it carries for ``_quantile``.  The start takes ``w``
-        linear in ``log u`` for ``u <= 1/2`` and ``-log s`` linear in ``-log(1 - u)``
-        above, where the mixture is nearly linear; past the far ends it follows
-        ``u ~ e^w`` and ``1 - u ~ s^min(lam)``.  Increasing levels that straddle 1/2 take
-        each rule only on their own side; levels in any other order take ``_by_side``.
-        Such a start lies within about one grid cell of its root, so it is marked
-        ``near``: its levels stop on Newton's error bound.
+        ``(1e-300, 1 - 3e-8)``, and ``levels`` is ``(u, log u, log1p(-u))`` of the levels
+        that the start is made for, which it carries for ``_quantile``.  The start takes
+        ``w`` linear in ``log u`` for the levels at or below 1/2 and ``-log s`` linear in
+        ``-log(1 - u)`` for those above, where the mixture is nearly linear; past the far
+        ends it follows ``u ~ e^w`` and ``1 - u ~ s^min(lam)``.  Like the table, the levels
+        must be increasing, so the two sides are a split at one index; a side with no
+        levels costs nothing.  Such a start lies within about one grid cell of its root,
+        so it is marked ``near``: its levels stop on Newton's error bound.
         """
         lc, hc, lam = table[0], -table[1], min(self.lams)
 
-        def low(log_u):
-            return np.interp(log_u, lc, w - lc) + log_u
-
-        def high(log1m_u):
-            hu = -log1m_u
-            return np.log((np.interp(hu, hc, -lam * logs - hc) + np.maximum(hu, hc[0])) / lam)
-
         def start(u, log_u, log1m_u):
-            upper = u > 0.5
-            j = u.size - np.count_nonzero(upper)  # levels at or below 1/2
-            if 0 < j < u.size and not upper[:j].any():
-                return np.concatenate((low(log_u[:j]), high(log1m_u[j:])))
-            return _by_side(upper, lambda: high(log1m_u), lambda: low(log_u))
+            j = u.size - np.count_nonzero(u > 0.5)  # the levels at or below 1/2 come first
+            out = np.empty(u.size)
+            if j:
+                out[:j] = np.interp(log_u[:j], lc, w - lc) + log_u[:j]
+            if j < u.size:
+                hu = -log1m_u[j:]
+                out[j:] = np.interp(hu, hc, -lam * logs - hc) + np.maximum(hu, hc[0])
+                np.log(out[j:] / lam, out=out[j:])
+            return out
         start.near = True
-        start.level_logs = level_logs
+        start.levels = levels
         return start
 
     def _solve_log_log_survival(self, upper: np.ndarray, target: np.ndarray, w: np.ndarray,

@@ -305,11 +305,11 @@ def check_star(
         return _undecided("fewer than two grid points with invertible cdf", notes=notes)
     w1 = np.log(-l1)
     w2 = w1 if l2 is l1 else np.log(-l2)
-    # log u and log1p(-u) of each model's cdf: one inversion's levels, the other's table
-    lu1, lu2 = (np.log(u1), np.log1p(-u1)), (np.log(u2), np.log1p(-u2))
+    # each model's cdf with its log u and log1p(-u): one inversion's levels, the other's table
+    c1, c2 = ((u, np.log(u), np.log1p(-u)) for u in (u1, u2))
     try:
-        s_12 = m2._quantile(u1, m2._table_start(l2, w2, lu2, lu1))
-        s_21 = m1._quantile(u2, m1._table_start(l1, w1, lu1, lu2))
+        s_12 = m2._quantile(u1, m2._table_start(l2, w2, c2[1:], c1))
+        s_21 = m1._quantile(u2, m1._table_start(l1, w1, c1[1:], c2))
     except TailError as exc:
         return _undecided(f"quantile inversion hit the tail guard: {exc}", notes=notes)
     (leq, _), (geq, _) = _monotone_max(s_12 / x), _monotone_max(s_21 / x)

@@ -23,7 +23,6 @@ from mixorder import (
     example_scenario,
     mphr,
 )
-from mixorder import mixture
 from mixorder.mixture import _QUANTILE_MAX_ITER, _QUANTILE_W_MIN, _QUANTILE_W_RTOL, _by_side
 from conftest import light_pair, random_mixture
 
@@ -488,38 +487,51 @@ class TestSolverReference:
 
 
 class TestTableStartSides:
-    """``_table_start`` runs each rule only on its own side of 1/2 where increasing levels
-    straddle it, and ``_by_side`` on any other levels, with the same starts."""
+    """``_table_start`` splits increasing levels at 1/2 and gives each side its own rule,
+    with the bits of a reference that picks the sides by mask."""
 
     @staticmethod
-    def starts(monkeypatch, u):
-        """The table start of example 5's model A at levels ``u``, and the number of times
-        it took ``_by_side``."""
+    def table(u):
+        """Example 5's model A, its table on the kept grid points and a start at ``u``."""
         m, _, grid = star_case(5)
         logs = m.baseline.log_survival(grid.x_values)
         cdf = m._terms(logs).cdf()
         keep = (cdf > 1e-300) & (cdf < 1.0 - 3e-8)
         logs, cdf = logs[keep], cdf[keep]
-        levels = (np.log(u), np.log1p(-u))
-        start = m._table_start(logs, np.log(-logs), (np.log(cdf), np.log1p(-cdf)), levels)
-        calls = []
-        monkeypatch.setattr(mixture, "_by_side", lambda *a: calls.append(a) or _by_side(*a))
-        return start(u, *levels), len(calls)
+        table = (np.log(cdf), np.log1p(-cdf))
+        levels = (u, np.log(u), np.log1p(-u))
+        return m, logs, table, m._table_start(logs, np.log(-logs), table, levels)
+
+    @staticmethod
+    def reference(m, logs, table, u):
+        """The start's two rules, each on the levels its mask picks."""
+        lc, hc, lam = table[0], -table[1], min(m.lams)
+        upper = u > 0.5
+        out = np.empty(u.size)
+        log_u = np.log(u[~upper])
+        out[~upper] = np.interp(log_u, lc, np.log(-logs) - lc) + log_u
+        hu = -np.log1p(-u[upper])
+        out[upper] = np.log((np.interp(hu, hc, -lam * logs - hc) + np.maximum(hu, hc[0])) / lam)
+        return out
 
     LEVELS = np.concatenate([np.geomspace(1e-12, 0.5, 30), 1.0 - np.geomspace(0.49, 1e-7, 30)])
 
-    def test_increasing_levels_split_with_the_same_bits(self, monkeypatch):
-        split, calls = self.starts(monkeypatch, self.LEVELS)
-        assert calls == 0 and 0.5 in self.LEVELS
-        order = np.random.default_rng(3).permutation(self.LEVELS.size)
-        shuffled, calls = self.starts(monkeypatch, self.LEVELS[order])
-        assert calls == 1
-        assert split[order].tobytes() == shuffled.tobytes()
+    @pytest.mark.parametrize("levels", [LEVELS, LEVELS[:30], LEVELS[30:]],
+                             ids=["straddling", "lower", "upper"])
+    def test_split_gives_the_mask_bits(self, levels):
+        assert 0.5 in self.LEVELS
+        m, logs, table, start = self.table(levels)
+        got = start(*start.levels)
+        assert got.tobytes() == self.reference(m, logs, table, levels).tobytes()
 
-    @pytest.mark.parametrize("levels", [LEVELS[::-1], LEVELS[:30], LEVELS[30:]],
-                             ids=["decreasing", "lower", "upper"])
-    def test_other_levels_take_by_side(self, monkeypatch, levels):
-        assert self.starts(monkeypatch, levels)[1] == 1
+    def test_other_levels_take_their_own_logs(self):
+        # a start made for LEVELS, given a subset of them, must not use LEVELS' logs
+        m, logs, table, start = self.table(self.LEVELS)
+        sub = self.LEVELS[10:50].copy()
+        _, _, _, own = self.table(sub)
+        assert m._quantile(sub, start).tobytes() == m._quantile(sub, own).tobytes()
+        assert m._quantile(self.LEVELS, start).tobytes() == m._quantile(
+            self.LEVELS.copy(), start).tobytes()
 
 
 class TestQuantileBits:
